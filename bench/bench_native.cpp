@@ -46,6 +46,7 @@ struct AppRow {
   double speedup = 0.0;
   double batch_pps = 0.0;    // raw run_batch, no event loop
   double compile_ms = 0.0;
+  std::string jit_origin;    // compiled | disk: what compile_ms measures
 };
 
 /// Raw module throughput: a 64k synthetic packet vector (round-robin over
@@ -124,6 +125,7 @@ AppRow run_app(const apps::AppSpec& spec, std::uint64_t seed) {
     return row;
   }
   row.compile_ms = prog->module().compile_ms();
+  row.jit_origin = native::origin_name(prog->module().origin());
 
   // Both engines are deterministic, so reps only tighten the timing — the
   // state compared below is the same on every rep.
@@ -221,6 +223,7 @@ int main() {
         .field("speedup", r.speedup)
         .field("batch_pps", r.batch_pps)
         .field("compile_ms", r.compile_ms)
+        .field("jit_origin", r.jit_origin)
         .obj_close();
   }
   j.arr_close();

@@ -1,9 +1,5 @@
 #include "core/cache.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +8,7 @@
 #include "frontend/fingerprint.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/printer.hpp"
+#include "support/fs.hpp"
 
 namespace lucid {
 
@@ -40,13 +37,6 @@ Stage clamp_keep_stage(Stage s) {
   if (i < static_cast<int>(Stage::Sema)) return Stage::Sema;
   if (i > static_cast<int>(Stage::Layout)) return Stage::Layout;
   return s;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -280,37 +270,21 @@ void ArtifactCache::store_artifact(std::string_view source,
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) return;
-  // Write-to-temp + rename keeps stores atomic: readers (other processes
-  // sharing the cache dir included) only ever see complete entries, and a
-  // crash or full disk leaves a .tmp file behind, not a corrupt entry.
   const std::uint64_t skey = source_key(source);
-  const std::string path = artifact_path(skey, options, artifact.backend);
-  static std::atomic<unsigned> tmp_seq{0};
-  const std::string tmp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
-                          std::to_string(tmp_seq.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << "lucid-artifact v2\n";
-    out << "compiler " << kLucidVersion << "\n";
-    out << "skey " << hex64(skey) << "\n";
-    out << "backend " << artifact.backend << "\n";
-    for (const auto& [k, v] : artifact.metrics) {
-      out << "metric " << k << " " << v << "\n";
-    }
-    out << "text " << artifact.text.size() << "\n";
-    out.write(artifact.text.data(),
-              static_cast<std::streamsize>(artifact.text.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
+  std::ostringstream out;
+  out << "lucid-artifact v2\n";
+  out << "compiler " << kLucidVersion << "\n";
+  out << "skey " << hex64(skey) << "\n";
+  out << "backend " << artifact.backend << "\n";
+  for (const auto& [k, v] : artifact.metrics) {
+    out << "metric " << k << " " << v << "\n";
   }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  out << "text " << artifact.text.size() << "\n";
+  out << artifact.text;
+  // Atomic install (support/fs.hpp): readers, other processes sharing the
+  // cache dir included, only ever see complete entries.
+  if (!support::write_file_atomic(
+          artifact_path(skey, options, artifact.backend), out.str())) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -48,13 +48,20 @@ class NativeBackend final : public Backend {
     // Compile-and-load as a smoke test: a module the system compiler
     // rejects is an emitter bug worth a diagnostic, not a silent artifact.
     std::string err;
-    const auto module = Module::load(m.text, &err);
+    Origin served = Origin::kCompiled;
+    const auto module = Module::load(m.text, &err, &served);
     if (module == nullptr) {
       comp.diags().error({}, "native-jit-failed", err);
       return artifact;
     }
+    // compile_ms is 0 unless this call ran the compiler; jit_origin says
+    // which cache layer answered instead (Origin: 0 compiled, 1 disk,
+    // 2 memory).
     artifact.metrics["compile_ms"] =
-        static_cast<std::int64_t>(module->compile_ms());
+        served == Origin::kCompiled
+            ? static_cast<std::int64_t>(module->compile_ms())
+            : 0;
+    artifact.metrics["jit_origin"] = static_cast<std::int64_t>(served);
     artifact.metrics["max_gens"] = module->max_gens();
     artifact.ok = true;
     return artifact;

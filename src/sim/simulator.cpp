@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/metrics.hpp"
+
 namespace lucid::sim {
 
 void Simulator::at(Time t, Callback cb) {
@@ -27,10 +29,16 @@ void Simulator::run_until(Time t) {
   if (now_ < t) now_ = t;
 }
 
-void Simulator::run(std::uint64_t max_events) {
+RunStatus Simulator::run(std::uint64_t max_events) {
   for (std::uint64_t i = 0; i < max_events; ++i) {
-    if (!step()) return;
+    if (!step()) return RunStatus::kQuiescent;
   }
+  if (queue_.empty()) return RunStatus::kQuiescent;
+  static obs::Counter& trips = obs::Registry::global().counter(
+      "lucid_sim_guard_trips_total",
+      "Simulator::run calls stopped by the max_events runaway guard");
+  trips.add();
+  return RunStatus::kGuardTripped;
 }
 
 }  // namespace lucid::sim

@@ -19,6 +19,12 @@ constexpr Time kUs = 1'000;
 constexpr Time kMs = 1'000'000;
 constexpr Time kSec = 1'000'000'000;
 
+/// How Simulator::run ended.
+enum class RunStatus {
+  kQuiescent,    // the queue drained
+  kGuardTripped  // max_events fired with events still pending
+};
+
 /// A single-threaded discrete-event scheduler. Callbacks scheduled for the
 /// same instant run in FIFO order (stable by sequence number), which keeps
 /// every simulation deterministic.
@@ -38,8 +44,11 @@ class Simulator {
   bool step();
   /// Runs all events with time <= t; the clock ends at exactly t.
   void run_until(Time t);
-  /// Runs to quiescence (or until `max_events` fire — a runaway guard).
-  void run(std::uint64_t max_events = 100'000'000);
+  /// Runs to quiescence, or until `max_events` fire — a runaway guard for
+  /// self-rearming timers (the PFC release ticker never lets the queue
+  /// drain; bound such runs with run_until). A trip returns kGuardTripped
+  /// and counts in `lucid_sim_guard_trips_total`.
+  RunStatus run(std::uint64_t max_events = 100'000'000);
 
  private:
   struct Entry {

@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 namespace lucid {
@@ -12,6 +13,13 @@ std::uint64_t fnv1a64(std::string_view data) {
     h *= 1099511628211ull;  // FNV prime
   }
   return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 std::vector<std::string> split(std::string_view s, char sep) {

@@ -13,6 +13,10 @@ namespace lucid {
 /// structural fingerprint in the compiler (core/cache, frontend/fingerprint).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
 
+/// `v` as 16 lower-case hex digits: the spelling of a hash in cache file
+/// names and entry headers.
+[[nodiscard]] std::string hex64(std::uint64_t v);
+
 /// Split `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
 

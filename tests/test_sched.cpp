@@ -10,6 +10,12 @@
 namespace lucid::sched {
 namespace {
 
+/// Stop condition for the cases that used to run to quiescence. The PFC
+/// release ticker re-arms itself forever, so Simulator::run only returned
+/// at its 100M-event guard; every event these cases wait for lands within
+/// a few microseconds, far inside this horizon.
+constexpr sim::Time kHorizon = sim::kMs;
+
 struct Node {
   sim::Simulator sim;
   pisa::Switch sw;
@@ -35,7 +41,7 @@ TEST(Scheduler, ImmediateLocalEventExecutes) {
   ev.event_id = 0;
   ev.args = {7, 8};
   n.sched.inject(ev);
-  n.sim.run();
+  n.sim.run_until(kHorizon);
   EXPECT_EQ(seen, (std::vector<std::int64_t>{7, 8}));
   EXPECT_EQ(n.sched.stats().executed, 1u);
 }
@@ -54,7 +60,7 @@ TEST(Scheduler, GeneratedLocalEventRecirculatesOnce) {
   GenEvent first;
   first.event_id = 0;
   n.sched.inject(first);
-  n.sim.run();
+  n.sim.run_until(kHorizon);
   EXPECT_EQ(executions, 2);
   EXPECT_EQ(n.sw.recirculations(), 1u);
 }
@@ -158,7 +164,7 @@ TEST(Scheduler, NonLocalEventForwardsThroughNetwork) {
   ev.args = {99};
   ev.location = 2;
   s1.inject(ev);
-  sim.run();
+  sim.run_until(kHorizon);
   EXPECT_EQ(executed_at_2, 1);
   // One link hop (~1us) plus pipeline passes.
   EXPECT_GE(when, sim::kUs);
@@ -201,7 +207,7 @@ TEST(Scheduler, MulticastReachesAllMembers) {
   GenEvent start;
   start.event_id = 0;
   scheds[0]->inject(start);
-  sim.run();
+  sim.run_until(kHorizon);
   EXPECT_EQ(executions[1], 1);
   EXPECT_EQ(executions[2], 1);
   EXPECT_EQ(executions[3], 1);
@@ -248,7 +254,7 @@ TEST(Network, UnknownDestinationIsDropped) {
   ev.event_id = 0;
   ev.location = 99;
   n.sched.inject(ev);
-  n.sim.run();
+  n.sim.run_until(kHorizon);
   EXPECT_EQ(network.dropped(), 1u);
 }
 

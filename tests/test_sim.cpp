@@ -2,6 +2,7 @@
 // semantics, and the Rng utilities.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -79,9 +80,29 @@ TEST(Simulator, CallbacksCanScheduleRecursively) {
     if (++ticks < 100) sim.after(10, tick);
   };
   sim.after(10, tick);
-  sim.run();
+  EXPECT_EQ(sim.run(), RunStatus::kQuiescent);
   EXPECT_EQ(ticks, 100);
   EXPECT_EQ(sim.now(), 1000);
+}
+
+TEST(Simulator, RunawayGuardTripIsReported) {
+  // A self-rearming ticker never drains the queue: the guard must stop the
+  // run, say so, and count the trip.
+  obs::Counter& trips =
+      obs::Registry::global().counter("lucid_sim_guard_trips_total");
+  const std::uint64_t before = trips.value();
+  Simulator sim;
+  std::function<void()> tick = [&] { sim.after(10, tick); };
+  sim.after(10, tick);
+  EXPECT_EQ(sim.run(1000), RunStatus::kGuardTripped);
+  EXPECT_EQ(sim.now(), 10'000);
+  EXPECT_EQ(trips.value(), before + 1);
+
+  // Exactly max_events that leave the queue empty is quiescence, not a trip.
+  Simulator done;
+  done.at(5, [] {});
+  EXPECT_EQ(done.run(1), RunStatus::kQuiescent);
+  EXPECT_EQ(trips.value(), before + 1);
 }
 
 TEST(Rng, DeterministicForSameSeed) {
