@@ -10,13 +10,12 @@
 // contract: byte-identical register state plus every shared counter.
 //
 // A second column measures the module's raw batch entry point
-// (lucid_native_run_batch) on a synthetic packet vector — the ceiling once
-// the event-loop bookkeeping is amortized away.
+// (lucid_native_run_batch) on a synthetic 64k-packet vector for ~100 ms
+// (bench::raw_kernel_pps) — the ceiling once the event-loop bookkeeping is
+// amortized away.
 //
 // Exit status is the acceptance gate: non-zero unless every app holds the
 // state contract AND runs >= 10x faster than the interpreter.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -48,60 +47,6 @@ struct AppRow {
   double compile_ms = 0.0;
   std::string jit_origin;    // compiled | disk: what compile_ms measures
 };
-
-/// Raw module throughput: a 64k synthetic packet vector (round-robin over
-/// handled events, randomized args) pumped through run_batch against a
-/// scratch register file until ~100 ms has elapsed.
-double measure_batch_pps(const native::Program& prog, std::uint64_t seed) {
-  const ir::ProgramIR& ir = prog.ir();
-  std::vector<const ir::EventInfo*> handled;
-  for (const auto& ev : ir.events) {
-    if (ev.has_handler) handled.push_back(&ev);
-  }
-  if (handled.empty()) return 0.0;
-
-  std::vector<std::vector<std::int64_t>> cells;
-  std::vector<std::int64_t*> ptrs;
-  for (const auto& arr : ir.arrays) {
-    cells.emplace_back(static_cast<std::size_t>(arr.size), 0);
-  }
-  for (auto& c : cells) ptrs.push_back(c.data());
-
-  constexpr std::int32_t kBatch = 1 << 16;
-  std::uint64_t rng = seed;
-  std::vector<native::PacketIn> packets(kBatch);
-  for (std::int32_t i = 0; i < kBatch; ++i) {
-    const ir::EventInfo* ev =
-        handled[static_cast<std::size_t>(i) % handled.size()];
-    native::PacketIn& in = packets[static_cast<std::size_t>(i)];
-    in.event_id = ev->event_id;
-    in.nargs = static_cast<std::int32_t>(ev->params.size());
-    in.now_ns = 1000 + i;
-    in.self_id = 1;
-    for (std::int32_t a = 0; a < in.nargs; ++a) {
-      in.args[a] =
-          static_cast<std::int64_t>(native::diff::splitmix64(rng) % 100000);
-    }
-  }
-  const auto gens =
-      std::max<std::int32_t>(prog.module().max_gens(), 1);
-  std::vector<native::GenOut> out(static_cast<std::size_t>(kBatch) *
-                                  static_cast<std::size_t>(gens));
-  std::vector<std::int32_t> counts(static_cast<std::size_t>(kBatch));
-
-  std::uint64_t total = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    prog.module().run_batch(ptrs.data(), packets.data(), kBatch, out.data(),
-                            counts.data());
-    total += static_cast<std::uint64_t>(kBatch);
-    elapsed = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-  } while (elapsed < 0.1);
-  return static_cast<double>(total) / elapsed;
-}
 
 AppRow run_app(const apps::AppSpec& spec, std::uint64_t seed) {
   AppRow row;
@@ -154,7 +99,8 @@ AppRow run_app(const apps::AppSpec& spec, std::uint64_t seed) {
     row.native_pps = static_cast<double>(row.passes) / row.native_s;
   }
   if (row.native_s > 0) row.speedup = row.interp_s / row.native_s;
-  row.batch_pps = measure_batch_pps(*prog, seed * 31 + 7);
+  bench::KernelWorkload w = bench::make_kernel_workload(*prog, seed * 31 + 7);
+  row.batch_pps = bench::raw_kernel_pps(*prog, w, 0.1);
   return row;
 }
 

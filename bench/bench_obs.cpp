@@ -18,7 +18,6 @@
 // trace.json (Chrome trace-event JSON, loadable in Perfetto) and
 // metrics.prom (Prometheus text exposition) next to BENCH_obs.json — CI
 // validates both with tools/validate_obs.py and uploads the trace artifact.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -42,12 +41,7 @@ constexpr double kMeasureSeconds = 0.08;
 
 struct Workload {
   std::shared_ptr<const native::Program> prog;
-  std::vector<std::vector<std::int64_t>> cells;
-  std::vector<std::int64_t*> ptrs;
-  std::vector<native::PacketIn> packets;
-  std::vector<native::GenOut> out;
-  std::vector<std::int32_t> counts;
-  std::int32_t batch = 1 << 16;
+  bench::KernelWorkload kernel;
 };
 
 bool build_workload(const apps::AppSpec& spec, std::uint64_t seed,
@@ -61,57 +55,12 @@ bool build_workload(const apps::AppSpec& spec, std::uint64_t seed,
   }
   w->prog = native::Program::build(probe.compilation_ptr(), err);
   if (w->prog == nullptr) return false;
-
-  const ir::ProgramIR& ir = w->prog->ir();
-  std::vector<const ir::EventInfo*> handled;
-  for (const auto& ev : ir.events) {
-    if (ev.has_handler) handled.push_back(&ev);
-  }
-  if (handled.empty()) {
+  w->kernel = bench::make_kernel_workload(*w->prog, seed);
+  if (w->kernel.packets.empty()) {
     *err = "no handled events";
     return false;
   }
-  for (const auto& arr : ir.arrays) {
-    w->cells.emplace_back(static_cast<std::size_t>(arr.size), 0);
-  }
-  for (auto& c : w->cells) w->ptrs.push_back(c.data());
-
-  std::uint64_t rng = seed;
-  w->packets.resize(static_cast<std::size_t>(w->batch));
-  for (std::int32_t i = 0; i < w->batch; ++i) {
-    const ir::EventInfo* ev =
-        handled[static_cast<std::size_t>(i) % handled.size()];
-    native::PacketIn& in = w->packets[static_cast<std::size_t>(i)];
-    in.event_id = ev->event_id;
-    in.nargs = static_cast<std::int32_t>(ev->params.size());
-    in.now_ns = 1000 + i;
-    in.self_id = 1;
-    for (std::int32_t a = 0; a < in.nargs; ++a) {
-      in.args[a] =
-          static_cast<std::int64_t>(native::diff::splitmix64(rng) % 100000);
-    }
-  }
-  const auto gens = std::max<std::int32_t>(w->prog->module().max_gens(), 1);
-  w->out.resize(static_cast<std::size_t>(w->batch) *
-                static_cast<std::size_t>(gens));
-  w->counts.resize(static_cast<std::size_t>(w->batch));
   return true;
-}
-
-/// Pumps batches through `call` for ~kMeasureSeconds; returns packets/s.
-template <typename Fn>
-double pump(const Workload& w, Fn&& call) {
-  std::uint64_t total = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    call();
-    total += static_cast<std::uint64_t>(w.batch);
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (elapsed < kMeasureSeconds);
-  return static_cast<double>(total) / elapsed;
 }
 
 struct AppRow {
@@ -135,27 +84,28 @@ AppRow run_app(const apps::AppSpec& spec, std::uint64_t seed) {
   Workload w;
   if (!build_workload(spec, seed, &w, &row.detail)) return row;
 
+  // All three modes pump the same synthetic batch; raw is the shared
+  // raw-kernel measurement, the other two go through the instrumented call.
   const native::Module& mod = w.prog->module();
-  const native::RunBatchFn raw = mod.raw_run_batch();
-  auto call_raw = [&] {
-    raw(w.ptrs.data(), w.packets.data(), w.batch, w.out.data(),
-        w.counts.data());
-  };
-  auto call_instr = [&] {
-    mod.run_batch(w.ptrs.data(), w.packets.data(), w.batch, w.out.data(),
-                  w.counts.data());
+  bench::KernelWorkload& k = w.kernel;
+  auto instr_pps = [&] {
+    return bench::pump_pps(k, kMeasureSeconds, [&] {
+      mod.run_batch(k.ptrs.data(), k.packets.data(), k.chunk, k.out.data(),
+                    k.counts.data());
+    });
   };
 
   // Interleave modes per rep and keep each mode's best — back-to-back
   // measurements see the same machine state, so drift hits all three alike.
   obs::Tracer::global().disable();
   for (int rep = 0; rep < kReps; ++rep) {
-    row.raw_pps = std::max(row.raw_pps, pump(w, call_raw));
-    row.off_pps = std::max(row.off_pps, pump(w, call_instr));
+    row.raw_pps = std::max(row.raw_pps,
+                           bench::raw_kernel_pps(*w.prog, k, kMeasureSeconds));
+    row.off_pps = std::max(row.off_pps, instr_pps());
     obs::TracerConfig cfg;
     cfg.sample_every = 256;
     obs::Tracer::global().enable(cfg);
-    row.sampled_pps = std::max(row.sampled_pps, pump(w, call_instr));
+    row.sampled_pps = std::max(row.sampled_pps, instr_pps());
     obs::Tracer::global().disable();
   }
   row.ok = true;

@@ -66,8 +66,6 @@ std::optional<Stage> Compilation::last_stage() const {
   return last;
 }
 
-Artifacts Compilation::release_artifacts() && { return std::move(artifacts_); }
-
 const std::vector<frontend::DeclFingerprint>& Compilation::decl_fingerprints()
     const {
   if (inherits(Stage::Parse)) return donor_->decl_fingerprints();

@@ -128,8 +128,7 @@ struct DriverOptions {
   int sema_workers = 1;
 };
 
-/// All middle-end artifacts, owned together. `release_artifacts()` moves
-/// these out for the deprecated one-shot compile() shim.
+/// All middle-end artifacts, owned together.
 struct Artifacts {
   frontend::Program program;  // annotated AST      (Parse, annotated by Sema)
   sema::AnalysisInfo info;    // effect summaries   (Sema)
@@ -224,11 +223,6 @@ class Compilation : public std::enable_shared_from_this<Compilation> {
   /// and each edit scans only its own buffer. Clones resolve through the
   /// donor chain (same source, same spans). Thread-safe (std::call_once).
   [[nodiscard]] const std::vector<frontend::DeclSpan>* decl_spans() const;
-
-  /// Moves every artifact out (for the deprecated compile() shim). The
-  /// Compilation must not be queried afterwards. Must not be called on a
-  /// clone (its inherited artifacts live in the donor).
-  [[nodiscard]] Artifacts release_artifacts() &&;
 
   // -- cloning --------------------------------------------------------------
   /// Forks this compilation after stage `upto`: the clone shares (does not

@@ -39,11 +39,6 @@
 //                                     per-shard and merged statistics
 //   lucidc --native-shards=N          shard count for --native-demo
 //                                     (default 1)
-//   lucidc --native-dispatch=KIND     event dispatch flavour for the JIT
-//                                     module: switch (portable, default),
-//                                     goto (computed-goto threaded
-//                                     dispatch), or auto (build both,
-//                                     micro-measure, keep the winner)
 //   lucidc --trace-out=FILE ...       record structured spans across the
 //                                     compiler/runtimes and write Chrome
 //                                     trace-event JSON (open in Perfetto)
@@ -51,11 +46,10 @@
 //   lucidc --metrics-out=FILE ...     write the process metrics snapshot on
 //                                     exit: Prometheus text exposition when
 //                                     FILE ends in .prom/.txt, JSON otherwise
+//   lucidc --ir FILE                  dump the atomic table graphs
+//   lucidc --layout FILE              dump the merged pipeline
 //   lucidc --list-backends            list registered backends
 //   lucidc --version                  print the compiler version
-//
-// Legacy spellings are kept for one release: --p4 (= --emit=p4), --check
-// (= --stop-after=sema), --ir and --layout (stage dumps).
 //
 // Exit status: 0 on success, 1 on compilation/input errors, 2 on usage
 // errors (unknown flag, missing file operand, unknown stage/backend/grid
@@ -120,12 +114,6 @@ void usage(std::ostream& os) {
         "path;\n"
         "                     print per-shard and merged statistics\n"
         "  --native-shards=N  shard count for --native-demo (default 1)\n"
-        "  --native-dispatch=KIND\n"
-        "                     JIT event dispatch: switch (portable, "
-        "default),\n"
-        "                     goto (computed-goto threaded dispatch), or\n"
-        "                     auto (build both, micro-measure, keep the\n"
-        "                     winner)\n"
         "  --trace-out=FILE   record spans (compiler stages, sweep jobs,\n"
         "                     interp handlers) and write Chrome trace-event\n"
         "                     JSON on exit — load FILE in ui.perfetto.dev\n"
@@ -135,8 +123,6 @@ void usage(std::ostream& os) {
         "JSON)\n"
         "  --ir               dump the atomic table graphs\n"
         "  --layout           dump the merged pipeline\n"
-        "  --p4               alias for --emit=p4\n"
-        "  --check            alias for --stop-after=sema\n"
         "  --list-backends    list backends (name, required stage, "
         "description) and exit\n"
         "  --version          print version and exit\n"
@@ -210,8 +196,7 @@ int main(int argc, char** argv) {
   bool ctrl_demo = false;                         // --ctrl-demo
   bool native_demo = false;                       // --native-demo
   int native_shards = 1;                          // --native-shards=...
-  std::string native_dispatch = "switch";         // --native-dispatch=...
-  bool native_opts_requested = false;
+  bool native_shards_requested = false;
   std::string trace_out;                          // --trace-out=...
   int trace_sample = 1;                           // --trace-sample=...
   std::string metrics_out;                        // --metrics-out=...
@@ -324,16 +309,7 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       native_shards = *parsed;
-      native_opts_requested = true;
-    } else if (lucid::starts_with(arg, "--native-dispatch=")) {
-      native_dispatch = arg.substr(18);
-      if (native_dispatch != "switch" && native_dispatch != "goto" &&
-          native_dispatch != "auto") {
-        std::cerr << "lucidc: unknown --native-dispatch '" << native_dispatch
-                  << "' (expected switch|goto|auto)\n";
-        return kExitUsage;
-      }
-      native_opts_requested = true;
+      native_shards_requested = true;
     } else if (lucid::starts_with(arg, "--trace-out=")) {
       trace_out = arg.substr(12);
       if (trace_out.empty()) {
@@ -353,11 +329,6 @@ int main(int argc, char** argv) {
         std::cerr << "lucidc: --metrics-out requires a file path\n";
         return kExitUsage;
       }
-    } else if (arg == "--p4") {
-      backend = "p4";
-    } else if (arg == "--check") {
-      stop_after = lucid::Stage::Sema;
-      stop_requested = true;
     } else if (arg == "--ir") {
       dump = "ir";
     } else if (arg == "--layout") {
@@ -399,9 +370,8 @@ int main(int argc, char** argv) {
                  "--ctrl-demo\n";
     return kExitUsage;
   }
-  if (native_opts_requested && !native_demo) {
-    std::cerr << "lucidc: --native-shards and --native-dispatch only apply "
-                 "to --native-demo\n";
+  if (native_shards_requested && !native_demo) {
+    std::cerr << "lucidc: --native-shards only applies to --native-demo\n";
     return kExitUsage;
   }
   if (sweep_requested && fit_requested) {
@@ -588,10 +558,9 @@ int main(int argc, char** argv) {
                : kExitError;
   }
 
-  // Native-engine demo: JIT-compile the program (with the requested
-  // dispatch flavour), shard a synthetic burst schedule across a
-  // ReplicaFleet by the stable flow hash, and run it to the horizon on one
-  // worker thread per shard.
+  // Native-engine demo: JIT-compile the program, shard a synthetic burst
+  // schedule across a ReplicaFleet by the stable flow hash, and run it to
+  // the horizon on one worker thread per shard.
   if (native_demo) {
     lucid::interp::TestbedConfig tb_cfg;
     tb_cfg.program_name = path;
@@ -600,15 +569,8 @@ int main(int argc, char** argv) {
       std::cerr << tb.diagnostics();
       return kExitError;
     }
-    lucid::native::ProgramOptions popts;
-    if (native_dispatch == "auto") {
-      popts.measure_dispatch = true;
-    } else if (native_dispatch == "goto") {
-      popts.dispatch = lucid::native::Dispatch::kThreadedGoto;
-    }
     std::string err;
-    const auto prog =
-        lucid::native::Program::build(tb.compilation_ptr(), &err, popts);
+    const auto prog = lucid::native::Program::build(tb.compilation_ptr(), &err);
     if (prog == nullptr) {
       std::cerr << "lucidc: --native-demo: " << err << "\n";
       return kExitError;
@@ -629,8 +591,7 @@ int main(int argc, char** argv) {
     const auto merged = fleet.merged_stats();
     const auto runs = fleet.merged_run_stats();
     std::cout << path << ": native demo, " << fleet.shards()
-              << " shard(s), dispatch="
-              << lucid::native::dispatch_name(prog->dispatch()) << "\n";
+              << " shard(s)\n";
     for (int s = 0; s < fleet.shards(); ++s) {
       std::cout << "  shard " << s << "          : "
                 << fleet.shard(static_cast<std::size_t>(s)).stats().executed

@@ -153,8 +153,8 @@ std::string memop_expr(const Operand& lhs,
 class Emitter {
  public:
   Emitter(const ir::ProgramIR& ir, const opt::Pipeline& pipeline,
-          std::string_view name, EmitOptions opts)
-      : ir_(ir), pipeline_(pipeline), name_(name), opts_(opts) {}
+          std::string_view name)
+      : ir_(ir), pipeline_(pipeline), name_(name) {}
 
   EmittedModule run() {
     for (const auto& [site, table] : generate_sites()) {
@@ -163,22 +163,15 @@ class Emitter {
     collect_vars();
     preamble();
     ctx_struct();
-    if (opts_.dispatch == Dispatch::kThreadedGoto) {
-      flush_fn();  // lucid_exec's epilogue calls it; define first
-      exec_fn();
-      entry_points_threaded();
-    } else {
-      load_fn();
-      stage_fns();
-      flush_fn();
-      entry_points();
-    }
+    load_fn();
+    stage_fns();
+    flush_fn();
+    entry_points();
     EmittedModule m;
     m.text = std::move(out_);
     m.gen_sites = static_cast<int>(gen_site_index_.size());
     m.stages = static_cast<int>(pipeline_.stages.size());
     m.loc = loc_;
-    m.dispatch = opts_.dispatch;
     return m;
   }
 
@@ -386,15 +379,7 @@ class Emitter {
   std::string table_condition(const AtomicTable& t) const {
     std::string cond =
         "m.ev_id == " + std::to_string(event_id_of(t.handler));
-    const std::string guards = guard_condition(t);
-    if (guards.empty()) return cond;
-    return cond + " && (" + guards + ")";
-  }
-
-  /// The guard disjunction alone (threaded dispatch already proved the
-  /// event id by landing in the event's block); empty when unconditional.
-  std::string guard_condition(const AtomicTable& t) const {
-    if (t.guards.empty()) return {};
+    if (t.guards.empty()) return cond;
     std::string dis;
     for (std::size_t c = 0; c < t.guards.size(); ++c) {
       if (c > 0) dis += " || ";
@@ -408,7 +393,7 @@ class Emitter {
       if (t.guards[c].empty()) conj = "1";
       dis += t.guards.size() > 1 ? "(" + conj + ")" : conj;
     }
-    return dis;
+    return cond + " && (" + dis + ")";
   }
 
   void emit_memop_assign(const std::string& indent, const std::string& dst,
@@ -616,134 +601,6 @@ class Emitter {
     blank();
   }
 
-  /// Tables per event id, in stage order (then intra-stage order) — the
-  /// order the stage functions would visit them for a packet of that event.
-  std::map<int, std::vector<const AtomicTable*>> tables_by_event() const {
-    std::map<int, std::vector<const AtomicTable*>> by_event;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* t : mt.members) {
-          if (t->kind == TableKind::Branch) continue;
-          by_event[event_id_of(t->handler)].push_back(t);
-        }
-      }
-    }
-    return by_event;
-  }
-
-  /// Threaded-dispatch executor: param load + all of the event's tables as
-  /// one straight-line block, reached by a single computed goto (portable
-  /// switch-to-label under non-GNU compilers). Per-array access order is
-  /// unchanged versus the stage functions — a packet visits its tables in
-  /// the same stage order, and batch mode still runs packets in order — so
-  /// the differential-state contract holds for both dispatch modes.
-  void exec_fn() {
-    const auto by_event = tables_by_event();
-    line("// Threaded dispatch: one indirect jump per packet lands in the");
-    line("// event's block; no per-table event-id checks, no stage-function");
-    line("// call sequence. Semantics identical to switch dispatch.");
-    line("inline i32 lucid_exec(Ctx& m, const PacketIn& in, "
-         "i64* const* R, GenOut* out) {");
-    line("  (void)R;");
-    line("  m = Ctx{};");
-    line("  m.ev_id = in.event_id;");
-    line("  m.__self = in.self_id;");
-    line("  m.__ts = lucid_mask(in.now_ns, 32);");
-    const auto n_events = static_cast<int>(ir_.events.size());
-    auto has_block = [&](int id) {
-      const auto it = by_event.find(id);
-      return it != by_event.end() && !it->second.empty();
-    };
-    if (n_events > 0) {
-      line("#if defined(__GNUC__)");
-      line("  // GNU labels-as-values: the jump table is resolved at");
-      line("  // compile time; handlerless events map to the epilogue.");
-      line("  static void* const lucid_jump[] = {");
-      for (int id = 0; id < n_events; ++id) {
-        const std::string target =
-            has_block(id) ? "&&lucid_ev_" + std::to_string(id)
-                          : "&&lucid_done";
-        line("    " + target + ",  // " +
-             ir_.events[static_cast<std::size_t>(id)].name);
-      }
-      line("  };");
-      line("  if (in.event_id >= 0 && in.event_id < " +
-           std::to_string(n_events) + ") goto *lucid_jump[in.event_id];");
-      line("  goto lucid_done;");
-      line("#else");
-      line("  switch (in.event_id) {");
-      for (int id = 0; id < n_events; ++id) {
-        if (!has_block(id)) continue;
-        line("    case " + std::to_string(id) + ": goto lucid_ev_" +
-             std::to_string(id) + ";");
-      }
-      line("    default: goto lucid_done;");
-      line("  }");
-      line("#endif");
-    } else {
-      line("  goto lucid_done;");
-    }
-    for (const auto& [id, tables] : by_event) {
-      if (tables.empty()) continue;
-      const auto& ev = ir_.events[static_cast<std::size_t>(id)];
-      line("lucid_ev_" + std::to_string(id) + ": {  // " + ev.name);
-      const std::size_t nargs =
-          std::min<std::size_t>(ev.params.size(), kMaxArgs);
-      for (std::size_t i = 0; i < nargs; ++i) {
-        line("  " + ctx_ref(ev.params[i].first) + " = " +
-             masked("in.args[" + std::to_string(i) + "]",
-                    ev.params[i].second) +
-             ";");
-      }
-      for (const auto* t : tables) {
-        const std::string guards = guard_condition(*t);
-        if (guards.empty()) {
-          line("  // " + std::string(ir::table_kind_name(t->kind)));
-          emit_table(*t, "  ");
-        } else {
-          line("  if (" + guards + ") {  // " +
-               std::string(ir::table_kind_name(t->kind)));
-          emit_table(*t, "    ");
-          line("  }");
-        }
-      }
-      line("  goto lucid_done;");
-      line("}");
-    }
-    line("lucid_done:");
-    line("  return lucid_flush(m, out);");
-    line("}");
-    blank();
-  }
-
-  void entry_points_threaded() {
-    const int gens = static_cast<int>(gen_site_index_.size());
-    line("}  // namespace");
-    blank();
-    line("extern \"C\" u32 lucid_native_abi_version() { return " +
-         std::to_string(kAbiVersion) + "; }");
-    line("extern \"C\" i32 lucid_native_max_gens() { return " +
-         std::to_string(gens) + "; }");
-    blank();
-    line("extern \"C\" i32 lucid_native_run_one(i64* const* R, "
-         "const PacketIn* in, GenOut* out) {");
-    line("  Ctx m;");
-    line("  return lucid_exec(m, *in, R, out);");
-    line("}");
-    blank();
-    line("// Batch mode under threaded dispatch: per-packet straight-line");
-    line("// execution (one indirect jump each), packets in order — the");
-    line("// same per-array access order as the per-stage loops.");
-    line("extern \"C\" void lucid_native_run_batch(i64* const* R, "
-         "const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {");
-    line("  Ctx m;");
-    line("  for (i32 i = 0; i < n; ++i) {");
-    line("    gen_counts[i] = lucid_exec(m, in[i], R, out + (i64)i * " +
-         std::to_string(std::max(gens, 1)) + ");");
-    line("  }");
-    line("}");
-  }
-
   void entry_points() {
     const int gens = static_cast<int>(gen_site_index_.size());
     const int stages = static_cast<int>(pipeline_.stages.size());
@@ -788,7 +645,6 @@ class Emitter {
   const ir::ProgramIR& ir_;
   const opt::Pipeline& pipeline_;
   std::string_view name_;
-  EmitOptions opts_;
   std::string out_;
   int loc_ = 0;
   std::set<std::string> vars_;
@@ -798,8 +654,8 @@ class Emitter {
 }  // namespace
 
 EmittedModule emit_source(const Compilation& comp,
-                          std::string_view program_name, EmitOptions opts) {
-  Emitter e(comp.ir(), comp.pipeline(), program_name, opts);
+                          std::string_view program_name) {
+  Emitter e(comp.ir(), comp.pipeline(), program_name);
   return e.run();
 }
 

@@ -1,7 +1,7 @@
 // Native code generation: renders the laid-out pipeline as self-contained
 // C++ that executes packets with the interpreter's exact semantics, but as
-// straight-line code — per-stage loops over a batch of packets, switch
-// dispatch per event, no AST walking. The JIT (src/native/jit.hpp) compiles
+// straight-line code — per-stage functions, event-id checks per table, no
+// AST walking. The JIT (src/native/jit.hpp) compiles
 // the result into the process.
 #pragma once
 
@@ -12,40 +12,17 @@
 
 namespace lucid::native {
 
-/// How generated code dispatches on the event id.
-enum class Dispatch {
-  /// Portable: a switch in the param loader plus per-table `ev_id ==`
-  /// checks inside per-stage functions (batch mode runs stage loops over
-  /// the packet vector). The fallback everywhere.
-  kSwitch,
-  /// Computed-goto threaded dispatch (GNU labels-as-values, with a
-  /// switch-to-label fallback for other compilers): one indirect jump per
-  /// packet straight into that event's table block, tables laid out in
-  /// stage order with the per-table event check stripped.
-  kThreadedGoto,
-};
-
-[[nodiscard]] inline const char* dispatch_name(Dispatch d) {
-  return d == Dispatch::kSwitch ? "switch" : "goto";
-}
-
-struct EmitOptions {
-  Dispatch dispatch = Dispatch::kSwitch;
-};
-
 struct EmittedModule {
   std::string text;   // the generated translation unit
   int gen_sites = 0;  // generate tables == max GenOut records per packet
   int stages = 0;     // pipeline stages rendered
   int loc = 0;        // lines emitted
-  Dispatch dispatch = Dispatch::kSwitch;
 };
 
 /// Emits the module source for a compilation whose Layout stage succeeded.
 /// Pure rendering: feasibility/limit checks are the backend's job
 /// (src/native/backend.cpp).
 [[nodiscard]] EmittedModule emit_source(const Compilation& comp,
-                                        std::string_view program_name,
-                                        EmitOptions opts = {});
+                                        std::string_view program_name);
 
 }  // namespace lucid::native

@@ -10,12 +10,18 @@
 //     (src/ctrl/native_bridge.hpp builds the control-plane surface on it).
 //
 //   - native::Replica is the decoupled fast path: a single-node mirror of
-//     the switch + scheduler + PFC timing model with POD packets on one
-//     (time, seq) heap and no std::function in the hot loop. It reproduces
-//     the simulator's event interleaving exactly (see the seq-order notes in
-//     replica_* below), so after a run its register state is byte-identical
-//     to an interp::Runtime run of the same schedule — the differential
-//     suite (tests/test_native.cpp) and bench_native both pin this.
+//     the switch + scheduler + PFC timing model with POD packets and no
+//     std::function in the hot loop. Its one event loop merges pending
+//     injections, a pipeline-pass FIFO and a small (time, seq) heap, and
+//     drains each run of same-timestamp passes through one run_batch call.
+//     It reproduces the simulator's event interleaving exactly (see the
+//     seq-order contract at Replica below), so after a run its register
+//     state is byte-identical to an interp::Runtime run of the same
+//     schedule — the differential suite (tests/test_native.cpp) and
+//     bench_native both pin this.
+//
+// Program::build emits one module per compilation (emit.hpp) and loads it
+// through the JIT's module cache (jit.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,17 +53,6 @@ struct RunStats {
   std::uint64_t total_executions = 0;
 };
 
-/// Build-time knobs for a native program.
-struct ProgramOptions {
-  /// Event dispatch flavour for the generated module (emit.hpp). The
-  /// portable switch is the default and the fallback.
-  Dispatch dispatch = Dispatch::kSwitch;
-  /// Build both dispatch variants, micro-measure each module's raw batch
-  /// throughput on a synthetic schedule, and keep the winner ("auto").
-  /// Costs one extra JIT compile; `dispatch` above is ignored.
-  bool measure_dispatch = false;
-};
-
 /// A program compiled for native execution: the emitted module source plus
 /// the loaded shared object. Immutable after build; share it across every
 /// Runtime/Replica of the same program (the JIT caches by source anyway).
@@ -68,15 +63,12 @@ class Program {
   /// engine's envelope (infeasible layout, >kMaxArgs event params) or the
   /// module fails to compile/load.
   static std::shared_ptr<const Program> build(ConstCompilationPtr comp,
-                                              std::string* error,
-                                              ProgramOptions opts = {});
+                                              std::string* error);
 
   [[nodiscard]] const Compilation& compilation() const { return *comp_; }
   [[nodiscard]] const ir::ProgramIR& ir() const { return comp_->ir(); }
   [[nodiscard]] const Module& module() const { return *module_; }
   [[nodiscard]] const EmittedModule& emitted() const { return emitted_; }
-  /// The dispatch flavour actually running (after measurement, if any).
-  [[nodiscard]] Dispatch dispatch() const { return emitted_.dispatch; }
 
   [[nodiscard]] const ir::EventInfo* find_event(const std::string& name) const;
 
@@ -85,13 +77,6 @@ class Program {
   std::shared_ptr<Module> module_;
   EmittedModule emitted_;
 };
-
-/// Micro-measures a loaded module's raw run_batch throughput (packets/sec)
-/// on a synthetic round-robin schedule over the program's handler events.
-/// Used by the measured dispatch pick and by bench_native_mt.
-[[nodiscard]] double measure_raw_batch_pps(const ir::ProgramIR& ir,
-                                           const Module& mod,
-                                           double budget_s = 0.005);
 
 // ---------------------------------------------------------------------------
 // Coupled engine: the interp::Runtime drop-in
@@ -147,12 +132,6 @@ class Runtime {
 struct ReplicaConfig {
   pisa::SwitchConfig switch_cfg;   // id defaults to 0; set to the node id
   sched::SchedulerConfig sched;
-  /// Multi-packet batching inside run_until: drain every runnable
-  /// same-timestamp pipeline-pass entry into one run_batch call instead of
-  /// dispatching per entry. State-identical to the per-entry loop (see the
-  /// drain rules at Replica::run_until); off reproduces the PR 7 loop, which
-  /// bench_native_mt uses as the batching baseline.
-  bool batch_loop = true;
   /// When >= 0, the replica registers per-shard labeled obs instruments
   /// (shard="<id>" on packets/batch-size/queue-depth) — set by ReplicaFleet.
   int shard_id = -1;
@@ -165,8 +144,9 @@ struct ReplicaConfig {
 ///
 /// Seq-order contract (why state matches the real simulator byte-for-byte):
 /// the simulator breaks timestamp ties by insertion order. The replica
-/// pushes one heap entry per sim_.at/after call the real stack would make,
-/// in the same order — including the two-hop recirculation path (port
+/// allocates one (t, seq) entry — pending, pass-FIFO or heap — per
+/// sim_.at/after call the real stack would make, in the same order —
+/// including the two-hop recirculation path (port
 /// delivery, then pipeline pass) and the PFC frame closures. The only
 /// entries it skips are front-port deliveries, which in a single-node
 /// topology are dropped by the network and have no side effects; removing
@@ -239,7 +219,6 @@ class Replica {
 
   enum class Kind : std::uint8_t {
     Inject,         // front-panel arrival -> pipeline pass
-    FinishPass,     // pipeline pass completes -> dispatch
     RecircDeliver,  // recirc port delivery -> pipeline pass
     PfcOpen,        // unpause frame delivered -> open + drain
     PfcClose,       // pause frame delivered -> close
@@ -266,12 +245,12 @@ class Replica {
     std::uint64_t seq = 0;
     RPacket pkt;
   };
-  /// A completed-pipeline-pass record (batch_loop mode). Every FinishPass is
-  /// created at now_ + pipeline_latency with now_ nondecreasing and seq
-  /// allocated in creation order, so the records are (t, seq)-sorted by
-  /// construction — a FIFO with O(1) pops replaces two heap sifts per
-  /// packet, which is what makes the batched drain cheaper than the
-  /// per-entry loop rather than just equal to it. The record holds an
+  /// A completed-pipeline-pass record. Every one is created at now_ +
+  /// pipeline_latency with now_ nondecreasing and seq allocated in creation
+  /// order, so the records are (t, seq)-sorted by construction — a FIFO
+  /// with O(1) pops instead of two heap sifts per packet, and the run of
+  /// same-timestamp passes is what one run_batch call drains. The record
+  /// holds an
   /// *index* into the packet's existing storage (the consumed pending_
   /// prefix, or a pool_ slot kept allocated until the drain) rather than a
   /// copy: both stay put for the entry's whole lifetime — pending_ is only
@@ -314,8 +293,8 @@ class Replica {
   void push(sim::Time t, Kind kind);  // packet-less entry
   void push(sim::Time t, Kind kind, const RPacket& pkt);
   void pfc_tick();
-  /// Batch mode: record a completed pipeline pass (FIFO, not heap) by
-  /// reference to its storage — a pending_ index or a pool_ slot.
+  /// Records a completed pipeline pass (FIFO, not heap) by reference to
+  /// its storage — a pending_ index or a pool_ slot.
   void pass_push(sim::Time t, std::int32_t idx, bool from_pool);
   void drain_passes();       // fused drain + classify; see run_until
   void flush_exec_batch();   // run batch_in_ through run_batch + dispatch
@@ -323,8 +302,6 @@ class Replica {
   // NOTE: `p` must not alias a pool_ slot — alloc_slot may grow the slab.
   void recirculate(const RPacket& p);
   void route_out(const RPacket& p);
-  void on_ingress(const RPacket& p);
-  void execute(const RPacket& p);
   void dispatch_gen(const GenOut& g);
   bool make_packet(const std::string& event, std::vector<std::int64_t>& args,
                    RPacket* out) const;
@@ -338,16 +315,15 @@ class Replica {
   std::vector<std::int32_t> free_;    // recycled pool_ slots
   std::vector<PendingInject> pending_;  // sorted by (t, seq)
   std::size_t pending_head_ = 0;
-  std::vector<PassEntry> pass_q_;  // batch mode: sorted by construction
+  std::vector<PassEntry> pass_q_;  // sorted by construction
   std::size_t pass_head_ = 0;
 
   std::vector<std::vector<std::int64_t>> cells_;  // IR declaration order
   std::vector<std::int64_t*> array_ptrs_;
-  std::vector<GenOut> gen_buf_;
   std::vector<char> has_handler_by_id_;
 
-  // Batch-loop scratch (batch_loop == true): the executing subset of a
-  // drain as ABI PacketIn records, and the module's per-packet outputs.
+  // Drain scratch: the executing subset of a drain as ABI PacketIn
+  // records, and the module's per-packet outputs.
   // Reused across drains; no per-drain allocation once warm. run_batch_fn_
   // is the module's raw entry point, resolved once.
   std::vector<PacketIn> batch_in_;

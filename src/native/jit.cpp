@@ -22,6 +22,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -150,6 +151,30 @@ std::string stored_text(const std::string& key_hex, const std::string& source,
          " cpu=" + hex64(fnv1a64(cpu_identity())) + "\n" + source;
 }
 
+/// Removes the temps of compiles that died mid-flight (see kStaleTempAge).
+/// Runs once per store per process: later opens find nothing new to trim
+/// that a dead process could have left.
+void trim_stale_temps(const std::string& dir) {
+  static std::mutex mu;
+  static std::set<std::string> trimmed;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!trimmed.insert(dir).second) return;
+  }
+  namespace fs = std::filesystem;
+  const auto cutoff = fs::file_time_type::clock::now() - kStaleTempAge;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->path().filename().string().find(".tmp-") == std::string::npos) {
+      continue;
+    }
+    std::error_code file_ec;  // another process may remove it first
+    const auto written = it->last_write_time(file_ec);
+    if (!file_ec && written < cutoff) fs::remove(it->path(), file_ec);
+  }
+}
+
 /// The module store for the current $TMPDIR: created 0700 on first use,
 /// refused unless it is a directory the effective uid owns that no one
 /// else can write. Empty (with `error` set) when refused.
@@ -185,6 +210,7 @@ std::string open_store(std::string* error) {
     return refuse(std::string("group- or world-writable (mode ") + mode +
                   ")");
   }
+  trim_stale_temps(dir);
   return dir;
 }
 

@@ -36,6 +36,10 @@
 //   - Install: the compiler writes unique temps inside the store; a module
 //     that loads and passes the ABI check is renamed into place, `.so`
 //     first, then `.cpp`. Failed compiles are never stored.
+//   - Debris: a compile killed mid-flight (SIGKILL, power loss) leaves its
+//     temps `<key>.tmp-<pid>-<seq>.{cpp,so}` behind. The first store open
+//     in each process removes temps older than kStaleTempAge, which is
+//     past anything a live compile can hold.
 //   - Eviction is manual: `rm -rf "${TMPDIR:-/tmp}/lucid-jit-cache-$(id -u)"`
 //     (safe while nothing is compiling; loaded modules stay mapped).
 #pragma once
@@ -50,6 +54,11 @@ namespace lucid::native {
 
 /// Upper bound on one external compile; the child is SIGKILLed after it.
 inline constexpr std::chrono::seconds kCompileTimeout{60};
+
+/// Age past which a store temp is debris. A live compile writes its `.cpp`
+/// temp, then runs the primary attempt and possibly the fallback, each
+/// bounded by kCompileTimeout; the third timeout is margin.
+inline constexpr std::chrono::seconds kStaleTempAge = 3 * kCompileTimeout;
 
 /// Where a loaded module came from. The values are stable: the native
 /// backend exports them as its `jit_origin` artifact metric.

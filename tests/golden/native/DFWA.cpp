@@ -1,0 +1,456 @@
+// DFWA — generated by the Lucid compiler (native backend)
+// Self-contained: compiled by the in-process JIT (src/native/jit.cpp) and dlopen'd.
+// Semantics mirror interp::Runtime exactly; see src/native/emit.cpp for the contract.
+#include <cstdint>
+
+using i32 = std::int32_t;
+using u32 = std::uint32_t;
+using i64 = std::int64_t;
+using u64 = std::uint64_t;
+
+namespace {
+
+// ABI structs — textual mirror of src/native/abi.hpp (v1).
+constexpr i32 kMaxArgs = 8;
+struct PacketIn { i32 event_id; i32 nargs; i64 now_ns; i64 self_id; i64 args[kMaxArgs]; };
+struct GenOut { i32 event_id; i32 multicast; i32 group; i32 nargs; i64 delay_ns; i64 location; i64 args[kMaxArgs]; };
+static_assert(sizeof(PacketIn) == 88, "ABI drift");
+static_assert(sizeof(GenOut) == 96, "ABI drift");
+
+// support::mask_width, inlined.
+inline i64 lucid_mask(i64 v, int w) {
+  if (w >= 64 || w <= 0) return v;
+  return (i64)((u64)v & ((u64{1} << w) - 1));
+}
+
+// support::fnv1a_word, inlined (the shared modeled hash; the
+// eBPF backend's CRC32 is a deliberate divergence).
+inline u32 lucid_fnv1a_word(u32 h, i64 word) {
+  u64 w = (u64)word;
+  for (int i = 0; i < 8; ++i) {
+    h ^= (u32)(w & 0xff);
+    h *= 16777619u;
+    w >>= 8;
+  }
+  return h;
+}
+
+// Handler locals + event params; zero-init per packet matches
+// interpreter Frame defaults. All fields are i64 (Value).
+struct Ctx {
+  i32 ev_id;
+  i64 __self;
+  i64 __t0;
+  i64 __t1;
+  i64 __t10;
+  i64 __t11;
+  i64 __t2;
+  i64 __t3;
+  i64 __t4;
+  i64 __t5;
+  i64 __t6;
+  i64 __t7;
+  i64 __t8;
+  i64 __t9;
+  i64 __ts;
+  i64 dst;
+  i64 h0;
+  i64 h1;
+  i64 idx;
+  i64 src;
+  i64 x;
+  i64 g0_fired;
+  i64 g0_delay;
+  i64 g0_loc;
+  i64 g0_a0;
+  i64 g0_a1;
+  i64 g1_fired;
+  i64 g1_delay;
+  i64 g1_loc;
+  i64 g1_a0;
+  i64 g2_fired;
+  i64 g2_delay;
+  i64 g2_loc;
+  i64 g2_a0;
+};
+
+// Dispatcher: zero the ctx and copy event params in, masked to
+// their declared widths (Runtime::execute).
+inline void lucid_load(Ctx& m, const PacketIn& in) {
+  m = Ctx{};
+  m.ev_id = in.event_id;
+  m.__self = in.self_id;
+  m.__ts = lucid_mask(in.now_ns, 32);
+  switch (in.event_id) {
+    case 0:  // pkt_out
+      m.src = lucid_mask(in.args[0], 32);
+      m.dst = lucid_mask(in.args[1], 32);
+      break;
+    case 1:  // pkt_in
+      m.src = lucid_mask(in.args[0], 32);
+      m.dst = lucid_mask(in.args[1], 32);
+      break;
+    case 2:  // sync_add
+      m.h0 = lucid_mask(in.args[0], 32);
+      m.h1 = lucid_mask(in.args[1], 32);
+      break;
+    case 3:  // age_step
+      m.idx = lucid_mask(in.args[0], 32);
+      break;
+    case 4:  // swap_banks
+      m.x = lucid_mask(in.args[0], 32);
+      break;
+    default: break;
+  }
+}
+
+inline void lucid_stage_0(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[0] + ci;  // active_bank
+      const i64 cell = *cellp;  // single read
+      m.__t0 = cell;
+    }
+  }
+  if (m.ev_id == 0) {  // pkt_out: hash
+    {
+      u32 h = 2166136261u ^ ((u32)(i64{40}) * 0x9E3779B1u);
+      h = lucid_fnv1a_word(h, m.src);
+      h = lucid_fnv1a_word(h, m.dst);
+      m.__t1 = (i64)(h & (u32)4095u);
+    }
+  }
+  if (m.ev_id == 0) {  // pkt_out: hash
+    {
+      u32 h = 2166136261u ^ ((u32)(i64{41}) * 0x9E3779B1u);
+      h = lucid_fnv1a_word(h, m.src);
+      h = lucid_fnv1a_word(h, m.dst);
+      m.__t2 = (i64)(h & (u32)4095u);
+    }
+  }
+  if (m.ev_id == 2) {  // sync_add: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[0] + ci;  // active_bank
+      const i64 cell = *cellp;  // single read
+      m.__t0 = cell;
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: hash
+    {
+      u32 h = 2166136261u ^ ((u32)(i64{40}) * 0x9E3779B1u);
+      h = lucid_fnv1a_word(h, m.dst);
+      h = lucid_fnv1a_word(h, m.src);
+      m.__t0 = (i64)(h & (u32)4095u);
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: hash
+    {
+      u32 h = 2166136261u ^ ((u32)(i64{41}) * 0x9E3779B1u);
+      h = lucid_fnv1a_word(h, m.dst);
+      h = lucid_fnv1a_word(h, m.src);
+      m.__t1 = (i64)(h & (u32)4095u);
+    }
+  }
+  if (m.ev_id == 3) {  // age_step: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[0] + ci;  // active_bank
+      const i64 cell = *cellp;  // single read
+      m.__t0 = cell;
+    }
+  }
+  if (m.ev_id == 3) {  // age_step: op
+    m.__t1 = lucid_mask((i64)((u64)(m.idx) + (u64)(i64{1})), 32);
+  }
+  if (m.ev_id == 4) {  // swap_banks: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[0] + ci;  // active_bank
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask(((cell) ^ (i64{1})), 32);
+    }
+  }
+}
+
+inline void lucid_stage_1(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0 && (m.__t0 == 0)) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[1] + ci;  // bfa0
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 2 && (m.__t0 == 0)) {  // sync_add: mem
+    {
+      i64 ci = (m.h0) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[1] + ci;  // bfa0
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: mem
+    {
+      i64 ci = (m.__t0) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[1] + ci;  // bfa0
+      const i64 cell = *cellp;  // single read
+      m.__t2 = cell;
+    }
+  }
+  if (m.ev_id == 3 && (m.__t0 != 0)) {  // age_step: mem
+    {
+      i64 ci = (m.idx) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[1] + ci;  // bfa0
+      *cellp = lucid_mask(i64{0}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 0 && (m.__t0 == 0)) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t2) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[2] + ci;  // bfa1
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 2 && (m.__t0 == 0)) {  // sync_add: mem
+    {
+      i64 ci = (m.h1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[2] + ci;  // bfa1
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: mem
+    {
+      i64 ci = (m.__t1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[2] + ci;  // bfa1
+      const i64 cell = *cellp;  // single read
+      m.__t3 = cell;
+    }
+  }
+  if (m.ev_id == 3 && (m.__t0 != 0)) {  // age_step: mem
+    {
+      i64 ci = (m.idx) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[2] + ci;  // bfa1
+      *cellp = lucid_mask(i64{0}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 0 && (m.__t0 != 0)) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[3] + ci;  // bfb0
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 2 && (m.__t0 != 0)) {  // sync_add: mem
+    {
+      i64 ci = (m.h0) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[3] + ci;  // bfb0
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: mem
+    {
+      i64 ci = (m.__t0) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[3] + ci;  // bfb0
+      const i64 cell = *cellp;  // single read
+      m.__t4 = cell;
+    }
+  }
+  if (m.ev_id == 3 && (m.__t0 == 0)) {  // age_step: mem
+    {
+      i64 ci = (m.idx) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[3] + ci;  // bfb0
+      *cellp = lucid_mask(i64{0}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 0 && (m.__t0 != 0)) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t2) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[4] + ci;  // bfb1
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 2 && (m.__t0 != 0)) {  // sync_add: mem
+    {
+      i64 ci = (m.h1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[4] + ci;  // bfb1
+      *cellp = lucid_mask(i64{1}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: mem
+    {
+      i64 ci = (m.__t1) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[4] + ci;  // bfb1
+      const i64 cell = *cellp;  // single read
+      m.__t5 = cell;
+    }
+  }
+  if (m.ev_id == 3 && (m.__t0 == 0)) {  // age_step: mem
+    {
+      i64 ci = (m.idx) % 4096;
+      if (ci < 0) ci += 4096;
+      i64* cellp = R[4] + ci;  // bfb1
+      *cellp = lucid_mask(i64{0}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 0) {  // pkt_out: generate
+    m.g0_fired = 1;
+    m.g0_delay = i64{0};
+    m.g0_loc = -1;
+    m.g0_a0 = m.__t1;
+    m.g0_a1 = m.__t2;
+  }
+  if (m.ev_id == 3) {  // age_step: op
+    m.__t2 = lucid_mask(((m.__t1) & (i64{4095})), 32);
+  }
+}
+
+inline void lucid_stage_2(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t6 = ((m.__t2) == (i64{1}) ? 1 : 0);
+  }
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t7 = ((m.__t3) == (i64{1}) ? 1 : 0);
+  }
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t9 = ((m.__t4) == (i64{1}) ? 1 : 0);
+  }
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t10 = ((m.__t5) == (i64{1}) ? 1 : 0);
+  }
+  if (m.ev_id == 3 && (m.__t2 == 0)) {  // age_step: generate
+    m.g1_fired = 1;
+    m.g1_delay = i64{0};
+    m.g1_loc = -1;
+    m.g1_a0 = i64{0};
+  }
+  if (m.ev_id == 3) {  // age_step: generate
+    m.g2_fired = 1;
+    m.g2_delay = i64{1000000};
+    m.g2_loc = -1;
+    m.g2_a0 = m.__t2;
+  }
+}
+
+inline void lucid_stage_3(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t8 = lucid_mask(((m.__t6) & (m.__t7)), 1);
+  }
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t11 = lucid_mask(((m.__t9) & (m.__t10)), 1);
+  }
+}
+
+inline void lucid_stage_4(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1 && ((m.__t8 != 0) || (m.__t8 == 0 && m.__t11 != 0))) {  // pkt_in: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[5] + ci;  // allowed
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+  if (m.ev_id == 1 && (m.__t8 == 0 && m.__t11 == 0)) {  // pkt_in: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[6] + ci;  // denied
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+}
+
+// Generate flush, in site (placement) order == the order the
+// interpreter's handler body reached each generate. Args mask to
+// the event's param widths (EventCtor).
+inline i32 lucid_flush(Ctx& m, GenOut* out) {
+  i32 n = 0;
+  if (m.g0_fired) {  // sync_add
+    GenOut& g = out[n++];
+    g.event_id = 2;
+    g.multicast = 1;
+    g.group = 0;
+    g.nargs = 2;
+    g.delay_ns = m.g0_delay;
+    g.location = m.g0_loc;
+    g.args[0] = lucid_mask(m.g0_a0, 32);
+    g.args[1] = lucid_mask(m.g0_a1, 32);
+  }
+  if (m.g1_fired) {  // swap_banks
+    GenOut& g = out[n++];
+    g.event_id = 4;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 1;
+    g.delay_ns = m.g1_delay;
+    g.location = m.g1_loc;
+    g.args[0] = lucid_mask(m.g1_a0, 32);
+  }
+  if (m.g2_fired) {  // age_step
+    GenOut& g = out[n++];
+    g.event_id = 3;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 1;
+    g.delay_ns = m.g2_delay;
+    g.location = m.g2_loc;
+    g.args[0] = lucid_mask(m.g2_a0, 32);
+  }
+  return n;
+}
+
+}  // namespace
+
+extern "C" u32 lucid_native_abi_version() { return 1; }
+extern "C" i32 lucid_native_max_gens() { return 3; }
+
+extern "C" i32 lucid_native_run_one(i64* const* R, const PacketIn* in, GenOut* out) {
+  Ctx m;
+  lucid_load(m, *in);
+  lucid_stage_0(m, R);
+  lucid_stage_1(m, R);
+  lucid_stage_2(m, R);
+  lucid_stage_3(m, R);
+  lucid_stage_4(m, R);
+  return lucid_flush(m, out);
+}
+
+// Batch mode: per-packet straight-line execution with one shared
+// Ctx — the pipeline state stays in registers instead of round-
+// tripping a scratch slab between stage loops (the event loop's
+// drains are tens of packets, far below streaming sizes where a
+// stage-major walk could pay off). Per-array access order is
+// packet order either way: each register array is pinned to one
+// stage, and packets run in order.
+extern "C" void lucid_native_run_batch(i64* const* R, const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {
+  Ctx m;
+  for (i32 i = 0; i < n; ++i) {
+    lucid_load(m, in[i]);
+    lucid_stage_0(m, R);
+    lucid_stage_1(m, R);
+    lucid_stage_2(m, R);
+    lucid_stage_3(m, R);
+    lucid_stage_4(m, R);
+    gen_counts[i] = lucid_flush(m, out + (i64)i * 3);
+  }
+}

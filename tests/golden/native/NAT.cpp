@@ -1,0 +1,234 @@
+// NAT — generated by the Lucid compiler (native backend)
+// Self-contained: compiled by the in-process JIT (src/native/jit.cpp) and dlopen'd.
+// Semantics mirror interp::Runtime exactly; see src/native/emit.cpp for the contract.
+#include <cstdint>
+
+using i32 = std::int32_t;
+using u32 = std::uint32_t;
+using i64 = std::int64_t;
+using u64 = std::uint64_t;
+
+namespace {
+
+// ABI structs — textual mirror of src/native/abi.hpp (v1).
+constexpr i32 kMaxArgs = 8;
+struct PacketIn { i32 event_id; i32 nargs; i64 now_ns; i64 self_id; i64 args[kMaxArgs]; };
+struct GenOut { i32 event_id; i32 multicast; i32 group; i32 nargs; i64 delay_ns; i64 location; i64 args[kMaxArgs]; };
+static_assert(sizeof(PacketIn) == 88, "ABI drift");
+static_assert(sizeof(GenOut) == 96, "ABI drift");
+
+// support::mask_width, inlined.
+inline i64 lucid_mask(i64 v, int w) {
+  if (w >= 64 || w <= 0) return v;
+  return (i64)((u64)v & ((u64{1} << w) - 1));
+}
+
+// support::fnv1a_word, inlined (the shared modeled hash; the
+// eBPF backend's CRC32 is a deliberate divergence).
+inline u32 lucid_fnv1a_word(u32 h, i64 word) {
+  u64 w = (u64)word;
+  for (int i = 0; i < 8; ++i) {
+    h ^= (u32)(w & 0xff);
+    h *= 16777619u;
+    w >>= 8;
+  }
+  return h;
+}
+
+// Handler locals + event params; zero-init per packet matches
+// interpreter Frame defaults. All fields are i64 (Value).
+struct Ctx {
+  i32 ev_id;
+  i64 __self;
+  i64 __t0;
+  i64 __t1;
+  i64 __t2;
+  i64 __t3;
+  i64 __t4;
+  i64 __t5;
+  i64 __ts;
+  i64 dport;
+  i64 sport;
+  i64 src;
+};
+
+// Dispatcher: zero the ctx and copy event params in, masked to
+// their declared widths (Runtime::execute).
+inline void lucid_load(Ctx& m, const PacketIn& in) {
+  m = Ctx{};
+  m.ev_id = in.event_id;
+  m.__self = in.self_id;
+  m.__ts = lucid_mask(in.now_ns, 32);
+  switch (in.event_id) {
+    case 0:  // pkt_out
+      m.src = lucid_mask(in.args[0], 32);
+      m.sport = lucid_mask(in.args[1], 32);
+      break;
+    case 1:  // pkt_in
+      m.dport = lucid_mask(in.args[0], 32);
+      break;
+    default: break;
+  }
+}
+
+inline void lucid_stage_0(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: hash
+    {
+      u32 h = 2166136261u ^ ((u32)(i64{50}) * 0x9E3779B1u);
+      h = lucid_fnv1a_word(h, m.src);
+      h = lucid_fnv1a_word(h, m.sport);
+      m.__t0 = (i64)h;
+    }
+  }
+  if (m.ev_id == 1) {  // pkt_in: op
+    m.__t0 = lucid_mask(((m.dport) & (i64{1023})), 32);
+  }
+}
+
+inline void lucid_stage_1(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: op
+    m.__t1 = lucid_mask(((m.__t0) | (i64{1})), 32);
+  }
+}
+
+inline void lucid_stage_2(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: op
+    m.__t2 = lucid_mask(((m.__t1) & (i64{1023})), 32);
+  }
+}
+
+inline void lucid_stage_3(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t2) % 1024;
+      if (ci < 0) ci += 1024;
+      i64* cellp = R[0] + ci;  // nat_key
+      const i64 cell = *cellp;  // single read
+      m.__t3 = lucid_mask(cell, 32);
+      if (cell == i64{0})
+        *cellp = lucid_mask(m.__t1, 32);
+      else
+        *cellp = lucid_mask(cell, 32);
+    }
+  }
+}
+
+inline void lucid_stage_4(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0 && (m.__t3 == 0)) {  // pkt_out: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[1] + ci;  // next_port
+      const i64 cell = *cellp;  // single read
+      m.__t4 = lucid_mask(cell, 32);
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+}
+
+inline void lucid_stage_5(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0 && (m.__t3 == 0)) {  // pkt_out: op
+    m.__t5 = lucid_mask(((m.__t4) & (i64{1023})), 32);
+  }
+}
+
+inline void lucid_stage_6(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1) {  // pkt_in: mem
+    {
+      i64 ci = (m.__t0) % 1024;
+      if (ci < 0) ci += 1024;
+      i64* cellp = R[2] + ci;  // rev_key
+      const i64 cell = *cellp;  // single read
+      m.__t1 = cell;
+    }
+  }
+  if (m.ev_id == 0 && (m.__t3 == 0)) {  // pkt_out: mem
+    {
+      i64 ci = (m.__t5) % 1024;
+      if (ci < 0) ci += 1024;
+      i64* cellp = R[2] + ci;  // rev_key
+      *cellp = lucid_mask(m.__t1, 32);  // single write
+    }
+  }
+}
+
+inline void lucid_stage_7(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt_out: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[3] + ci;  // translated
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+  if (m.ev_id == 1 && (m.__t1 != 0)) {  // pkt_in: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[3] + ci;  // translated
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+  if (m.ev_id == 1 && (m.__t1 == 0)) {  // pkt_in: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[4] + ci;  // dropped
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+}
+
+// Generate flush, in site (placement) order == the order the
+// interpreter's handler body reached each generate. Args mask to
+// the event's param widths (EventCtor).
+inline i32 lucid_flush(Ctx& m, GenOut* out) {
+  i32 n = 0;
+  (void)m; (void)out;
+  return n;
+}
+
+}  // namespace
+
+extern "C" u32 lucid_native_abi_version() { return 1; }
+extern "C" i32 lucid_native_max_gens() { return 0; }
+
+extern "C" i32 lucid_native_run_one(i64* const* R, const PacketIn* in, GenOut* out) {
+  Ctx m;
+  lucid_load(m, *in);
+  lucid_stage_0(m, R);
+  lucid_stage_1(m, R);
+  lucid_stage_2(m, R);
+  lucid_stage_3(m, R);
+  lucid_stage_4(m, R);
+  lucid_stage_5(m, R);
+  lucid_stage_6(m, R);
+  lucid_stage_7(m, R);
+  return lucid_flush(m, out);
+}
+
+// Batch mode: per-packet straight-line execution with one shared
+// Ctx — the pipeline state stays in registers instead of round-
+// tripping a scratch slab between stage loops (the event loop's
+// drains are tens of packets, far below streaming sizes where a
+// stage-major walk could pay off). Per-array access order is
+// packet order either way: each register array is pinned to one
+// stage, and packets run in order.
+extern "C" void lucid_native_run_batch(i64* const* R, const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {
+  Ctx m;
+  for (i32 i = 0; i < n; ++i) {
+    lucid_load(m, in[i]);
+    lucid_stage_0(m, R);
+    lucid_stage_1(m, R);
+    lucid_stage_2(m, R);
+    lucid_stage_3(m, R);
+    lucid_stage_4(m, R);
+    lucid_stage_5(m, R);
+    lucid_stage_6(m, R);
+    lucid_stage_7(m, R);
+    gen_counts[i] = lucid_flush(m, out + (i64)i * 1);
+  }
+}

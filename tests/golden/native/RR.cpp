@@ -1,0 +1,477 @@
+// RR — generated by the Lucid compiler (native backend)
+// Self-contained: compiled by the in-process JIT (src/native/jit.cpp) and dlopen'd.
+// Semantics mirror interp::Runtime exactly; see src/native/emit.cpp for the contract.
+#include <cstdint>
+
+using i32 = std::int32_t;
+using u32 = std::uint32_t;
+using i64 = std::int64_t;
+using u64 = std::uint64_t;
+
+namespace {
+
+// ABI structs — textual mirror of src/native/abi.hpp (v1).
+constexpr i32 kMaxArgs = 8;
+struct PacketIn { i32 event_id; i32 nargs; i64 now_ns; i64 self_id; i64 args[kMaxArgs]; };
+struct GenOut { i32 event_id; i32 multicast; i32 group; i32 nargs; i64 delay_ns; i64 location; i64 args[kMaxArgs]; };
+static_assert(sizeof(PacketIn) == 88, "ABI drift");
+static_assert(sizeof(GenOut) == 96, "ABI drift");
+
+// support::mask_width, inlined.
+inline i64 lucid_mask(i64 v, int w) {
+  if (w >= 64 || w <= 0) return v;
+  return (i64)((u64)v & ((u64{1} << w) - 1));
+}
+
+// support::fnv1a_word, inlined (the shared modeled hash; the
+// eBPF backend's CRC32 is a deliberate divergence).
+inline u32 lucid_fnv1a_word(u32 h, i64 word) {
+  u64 w = (u64)word;
+  for (int i = 0; i < 8; ++i) {
+    h ^= (u32)(w & 0xff);
+    h *= 16777619u;
+    w >>= 8;
+  }
+  return h;
+}
+
+// Handler locals + event params; zero-init per packet matches
+// interpreter Frame defaults. All fields are i64 (Value).
+struct Ctx {
+  i32 ev_id;
+  i64 __inl0_ret;
+  i64 __self;
+  i64 __t0;
+  i64 __t1;
+  i64 __t2;
+  i64 __t3;
+  i64 __t4;
+  i64 __t5;
+  i64 __ts;
+  i64 dst;
+  i64 idx;
+  i64 pathlen;
+  i64 sender;
+  i64 v;
+  i64 x;
+  i64 g0_fired;
+  i64 g0_delay;
+  i64 g0_loc;
+  i64 g0_a0;
+  i64 g1_fired;
+  i64 g1_delay;
+  i64 g1_loc;
+  i64 g1_a0;
+  i64 g2_fired;
+  i64 g2_delay;
+  i64 g2_loc;
+  i64 g2_a0;
+  i64 g3_fired;
+  i64 g3_delay;
+  i64 g3_loc;
+  i64 g3_a0;
+  i64 g4_fired;
+  i64 g4_delay;
+  i64 g4_loc;
+  i64 g4_a0;
+  i64 g4_a1;
+  i64 g4_a2;
+  i64 g5_fired;
+  i64 g5_delay;
+  i64 g5_loc;
+  i64 g5_a0;
+  i64 g5_a1;
+  i64 g6_fired;
+  i64 g6_delay;
+  i64 g6_loc;
+  i64 g6_a0;
+  i64 g6_a1;
+};
+
+// Dispatcher: zero the ctx and copy event params in, masked to
+// their declared widths (Runtime::execute).
+inline void lucid_load(Ctx& m, const PacketIn& in) {
+  m = Ctx{};
+  m.ev_id = in.event_id;
+  m.__self = in.self_id;
+  m.__ts = lucid_mask(in.now_ns, 32);
+  switch (in.event_id) {
+    case 0:  // pkt
+      m.dst = lucid_mask(in.args[0], 32);
+      break;
+    case 1:  // route_query
+      m.sender = lucid_mask(in.args[0], 32);
+      m.dst = lucid_mask(in.args[1], 32);
+      break;
+    case 2:  // route_reply
+      m.sender = lucid_mask(in.args[0], 32);
+      m.dst = lucid_mask(in.args[1], 32);
+      m.pathlen = lucid_mask(in.args[2], 32);
+      break;
+    case 3:  // check_route
+      m.idx = lucid_mask(in.args[0], 32);
+      break;
+    case 4:  // probe
+      m.sender = lucid_mask(in.args[0], 32);
+      break;
+    case 5:  // probe_reply
+      m.sender = lucid_mask(in.args[0], 32);
+      break;
+    case 6:  // probe_timer
+      m.x = lucid_mask(in.args[0], 32);
+      break;
+    case 7:  // boot
+      m.v = lucid_mask(in.args[0], 32);
+      break;
+    default: break;
+  }
+}
+
+inline void lucid_stage_0(Ctx& m, i64* const* R) {
+  if (m.ev_id == 7) {  // boot: op
+    m.__t0 = lucid_mask(((m.v) & (i64{63})), 32);
+  }
+  if (m.ev_id == 0) {  // pkt: op
+    m.__t0 = lucid_mask(((m.dst) & (i64{63})), 32);
+  }
+  if (m.ev_id == 1) {  // route_query: op
+    m.__t0 = lucid_mask(((m.dst) & (i64{63})), 32);
+  }
+  if (m.ev_id == 1) {  // route_query: op
+    m.__t2 = lucid_mask(m.__self, 32);
+  }
+  if (m.ev_id == 1) {  // route_query: op
+    m.__t3 = lucid_mask(m.dst, 32);
+  }
+  if (m.ev_id == 2) {  // route_reply: op
+    m.__t0 = lucid_mask((i64)((u64)(m.pathlen) + (u64)(i64{1})), 32);
+  }
+  if (m.ev_id == 2) {  // route_reply: op
+    m.__t1 = lucid_mask(((m.dst) & (i64{63})), 32);
+  }
+  if (m.ev_id == 3) {  // check_route: op
+    m.__t0 = lucid_mask(((m.idx) & (i64{63})), 32);
+  }
+  if (m.ev_id == 3) {  // check_route: op
+    m.__t3 = lucid_mask((i64)((u64)(m.idx) + (u64)(i64{1})), 32);
+  }
+  if (m.ev_id == 4) {  // probe: generate
+    m.g0_fired = 1;
+    m.g0_delay = i64{0};
+    m.g0_loc = m.sender;
+    m.g0_a0 = m.__self;
+  }
+  if (m.ev_id == 5) {  // probe_reply: op
+    m.__t0 = lucid_mask(((m.sender) & (i64{15})), 32);
+  }
+  if (m.ev_id == 6) {  // probe_timer: generate
+    m.g1_fired = 1;
+    m.g1_delay = i64{0};
+    m.g1_loc = -1;
+    m.g1_a0 = m.__self;
+  }
+  if (m.ev_id == 6) {  // probe_timer: generate
+    m.g2_fired = 1;
+    m.g2_delay = i64{10000000};
+    m.g2_loc = -1;
+    m.g2_a0 = m.x;
+  }
+}
+
+inline void lucid_stage_1(Ctx& m, i64* const* R) {
+  if (m.ev_id == 7) {  // boot: mem
+    {
+      i64 ci = (m.__t0) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[0] + ci;  // pathlens
+      *cellp = lucid_mask(i64{1000000}, 32);  // single write
+    }
+  }
+  if (m.ev_id == 1) {  // route_query: mem
+    {
+      i64 ci = (m.__t0) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[0] + ci;  // pathlens
+      const i64 cell = *cellp;  // single read
+      m.__inl0_ret = cell;
+    }
+  }
+  if (m.ev_id == 2) {  // route_reply: mem
+    {
+      i64 ci = (m.__t1) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[0] + ci;  // pathlens
+      const i64 cell = *cellp;  // single read
+      m.__t2 = lucid_mask(cell, 32);
+      if (m.__t0 < cell)
+        *cellp = lucid_mask(m.__t0, 32);
+      else
+        *cellp = lucid_mask(cell, 32);
+    }
+  }
+  if (m.ev_id == 3) {  // check_route: mem
+    {
+      i64 ci = (m.__t0) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[0] + ci;  // pathlens
+      const i64 cell = *cellp;  // single read
+      m.__inl0_ret = cell;
+    }
+  }
+  if (m.ev_id == 3) {  // check_route: op
+    m.__t4 = lucid_mask(((m.__t3) & (i64{63})), 32);
+  }
+}
+
+inline void lucid_stage_2(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1) {  // route_query: op
+    m.__t4 = lucid_mask(m.__inl0_ret, 32);
+  }
+  if (m.ev_id == 2) {  // route_reply: op
+    m.__t3 = ((m.__t0) < (m.__t2) ? 1 : 0);
+  }
+  if (m.ev_id == 3) {  // check_route: op
+    m.__t2 = ((m.__inl0_ret) >= (i64{1000000}) ? 1 : 0);
+  }
+  if (m.ev_id == 3) {  // check_route: generate
+    m.g3_fired = 1;
+    m.g3_delay = i64{10000000};
+    m.g3_loc = -1;
+    m.g3_a0 = m.__t4;
+  }
+}
+
+inline void lucid_stage_3(Ctx& m, i64* const* R) {
+  if (m.ev_id == 1) {  // route_query: generate
+    m.g4_fired = 1;
+    m.g4_delay = i64{0};
+    m.g4_loc = m.sender;
+    m.g4_a0 = m.__t2;
+    m.g4_a1 = m.__t3;
+    m.g4_a2 = m.__t4;
+  }
+  if (m.ev_id == 2 && (m.__t3 != 0)) {  // route_reply: op
+    m.__t4 = lucid_mask(((m.dst) & (i64{63})), 32);
+  }
+  if (m.ev_id == 3 && (m.__t2 != 0)) {  // check_route: generate
+    m.g5_fired = 1;
+    m.g5_delay = i64{0};
+    m.g5_loc = -1;
+    m.g5_a0 = m.__self;
+    m.g5_a1 = m.idx;
+  }
+}
+
+inline void lucid_stage_4(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt: mem
+    {
+      i64 ci = (m.__t0) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[1] + ci;  // nexthops
+      const i64 cell = *cellp;  // single read
+      m.__t1 = cell;
+    }
+  }
+  if (m.ev_id == 2 && (m.__t3 != 0)) {  // route_reply: mem
+    {
+      i64 ci = (m.__t4) % 64;
+      if (ci < 0) ci += 64;
+      i64* cellp = R[1] + ci;  // nexthops
+      *cellp = lucid_mask(m.sender, 32);  // single write
+    }
+  }
+}
+
+inline void lucid_stage_5(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt: op
+    m.__t2 = lucid_mask(((m.__t1) & (i64{15})), 32);
+  }
+}
+
+inline void lucid_stage_6(Ctx& m, i64* const* R) {
+  if (m.ev_id == 5) {  // probe_reply: mem
+    {
+      i64 ci = (m.__t0) % 16;
+      if (ci < 0) ci += 16;
+      i64* cellp = R[2] + ci;  // linkstate
+      *cellp = lucid_mask(m.__ts, 32);  // single write
+    }
+  }
+  if (m.ev_id == 0) {  // pkt: mem
+    {
+      i64 ci = (m.__t2) % 16;
+      if (ci < 0) ci += 16;
+      i64* cellp = R[2] + ci;  // linkstate
+      const i64 cell = *cellp;  // single read
+      m.__t3 = cell;
+    }
+  }
+}
+
+inline void lucid_stage_7(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt: op
+    m.__t4 = lucid_mask((i64)((u64)(m.__ts) - (u64)(m.__t3)), 32);
+  }
+}
+
+inline void lucid_stage_8(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0) {  // pkt: op
+    m.__t5 = ((m.__t4) > (i64{50000000}) ? 1 : 0);
+  }
+}
+
+inline void lucid_stage_9(Ctx& m, i64* const* R) {
+  if (m.ev_id == 0 && (m.__t5 != 0)) {  // pkt: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[4] + ci;  // drop_count
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+  if (m.ev_id == 0 && (m.__t5 != 0)) {  // pkt: generate
+    m.g6_fired = 1;
+    m.g6_delay = i64{0};
+    m.g6_loc = -1;
+    m.g6_a0 = m.__self;
+    m.g6_a1 = m.dst;
+  }
+  if (m.ev_id == 0 && (m.__t5 == 0)) {  // pkt: mem
+    {
+      i64 ci = (i64{0}) % 1;
+      if (ci < 0) ci += 1;
+      i64* cellp = R[3] + ci;  // fwd_count
+      const i64 cell = *cellp;  // single read
+      *cellp = lucid_mask((i64)((u64)(cell) + (u64)(i64{1})), 32);
+    }
+  }
+}
+
+// Generate flush, in site (placement) order == the order the
+// interpreter's handler body reached each generate. Args mask to
+// the event's param widths (EventCtor).
+inline i32 lucid_flush(Ctx& m, GenOut* out) {
+  i32 n = 0;
+  if (m.g0_fired) {  // probe_reply
+    GenOut& g = out[n++];
+    g.event_id = 5;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 1;
+    g.delay_ns = m.g0_delay;
+    g.location = m.g0_loc;
+    g.args[0] = lucid_mask(m.g0_a0, 32);
+  }
+  if (m.g1_fired) {  // probe
+    GenOut& g = out[n++];
+    g.event_id = 4;
+    g.multicast = 1;
+    g.group = 0;
+    g.nargs = 1;
+    g.delay_ns = m.g1_delay;
+    g.location = m.g1_loc;
+    g.args[0] = lucid_mask(m.g1_a0, 32);
+  }
+  if (m.g2_fired) {  // probe_timer
+    GenOut& g = out[n++];
+    g.event_id = 6;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 1;
+    g.delay_ns = m.g2_delay;
+    g.location = m.g2_loc;
+    g.args[0] = lucid_mask(m.g2_a0, 32);
+  }
+  if (m.g3_fired) {  // check_route
+    GenOut& g = out[n++];
+    g.event_id = 3;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 1;
+    g.delay_ns = m.g3_delay;
+    g.location = m.g3_loc;
+    g.args[0] = lucid_mask(m.g3_a0, 32);
+  }
+  if (m.g4_fired) {  // route_reply
+    GenOut& g = out[n++];
+    g.event_id = 2;
+    g.multicast = 0;
+    g.group = -1;
+    g.nargs = 3;
+    g.delay_ns = m.g4_delay;
+    g.location = m.g4_loc;
+    g.args[0] = lucid_mask(m.g4_a0, 32);
+    g.args[1] = lucid_mask(m.g4_a1, 32);
+    g.args[2] = lucid_mask(m.g4_a2, 32);
+  }
+  if (m.g5_fired) {  // route_query
+    GenOut& g = out[n++];
+    g.event_id = 1;
+    g.multicast = 1;
+    g.group = 0;
+    g.nargs = 2;
+    g.delay_ns = m.g5_delay;
+    g.location = m.g5_loc;
+    g.args[0] = lucid_mask(m.g5_a0, 32);
+    g.args[1] = lucid_mask(m.g5_a1, 32);
+  }
+  if (m.g6_fired) {  // route_query
+    GenOut& g = out[n++];
+    g.event_id = 1;
+    g.multicast = 1;
+    g.group = 0;
+    g.nargs = 2;
+    g.delay_ns = m.g6_delay;
+    g.location = m.g6_loc;
+    g.args[0] = lucid_mask(m.g6_a0, 32);
+    g.args[1] = lucid_mask(m.g6_a1, 32);
+  }
+  return n;
+}
+
+}  // namespace
+
+extern "C" u32 lucid_native_abi_version() { return 1; }
+extern "C" i32 lucid_native_max_gens() { return 7; }
+
+extern "C" i32 lucid_native_run_one(i64* const* R, const PacketIn* in, GenOut* out) {
+  Ctx m;
+  lucid_load(m, *in);
+  lucid_stage_0(m, R);
+  lucid_stage_1(m, R);
+  lucid_stage_2(m, R);
+  lucid_stage_3(m, R);
+  lucid_stage_4(m, R);
+  lucid_stage_5(m, R);
+  lucid_stage_6(m, R);
+  lucid_stage_7(m, R);
+  lucid_stage_8(m, R);
+  lucid_stage_9(m, R);
+  return lucid_flush(m, out);
+}
+
+// Batch mode: per-packet straight-line execution with one shared
+// Ctx — the pipeline state stays in registers instead of round-
+// tripping a scratch slab between stage loops (the event loop's
+// drains are tens of packets, far below streaming sizes where a
+// stage-major walk could pay off). Per-array access order is
+// packet order either way: each register array is pinned to one
+// stage, and packets run in order.
+extern "C" void lucid_native_run_batch(i64* const* R, const PacketIn* in, i32 n, GenOut* out, i32* gen_counts) {
+  Ctx m;
+  for (i32 i = 0; i < n; ++i) {
+    lucid_load(m, in[i]);
+    lucid_stage_0(m, R);
+    lucid_stage_1(m, R);
+    lucid_stage_2(m, R);
+    lucid_stage_3(m, R);
+    lucid_stage_4(m, R);
+    lucid_stage_5(m, R);
+    lucid_stage_6(m, R);
+    lucid_stage_7(m, R);
+    lucid_stage_8(m, R);
+    lucid_stage_9(m, R);
+    gen_counts[i] = lucid_flush(m, out + (i64)i * 7);
+  }
+}

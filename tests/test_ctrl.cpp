@@ -230,17 +230,20 @@ TEST(Ctrl, SnapshotReportsRates) {
 }
 
 // The apply-point guarantee under a concurrent submitter: a producer thread
-// hammers whole-array batches while the simulation thread runs probe
-// traffic. Applies happen only at event boundaries, so no probe may ever
-// observe a half-applied batch — and under ThreadSanitizer (ctest label
-// "concurrency", debug-tsan preset) the run also proves the submit path is
-// free of data races with handler execution.
+// submits a fixed number of whole-array batches while the simulation thread
+// runs probe traffic. Applies happen only at event boundaries, so no probe
+// may ever observe a half-applied batch — and under ThreadSanitizer (ctest
+// label "concurrency", debug-tsan preset) the run also proves the submit
+// path is free of data races with handler execution. The producer starts
+// once the first probe runs and stops after kBatches, so the test's work is
+// fixed rather than however far a spinning producer gets against the
+// simulated clock.
 TEST(Ctrl, AppliesNeverInterleaveWithHandlers) {
   interp::Testbed tb(kProg);
   ASSERT_TRUE(tb.ok()) << tb.diagnostics();
   ControlPlaneConfig cfg;
   cfg.tick_ns = 5 * sim::kUs;
-  // The occupancy model is off here: a spinning producer would otherwise
+  // The occupancy model is off here: a fast producer would otherwise
   // accumulate modeled stall far faster than virtual time advances, starving
   // the probe traffic. This test is about atomicity, not the cost model.
   cfg.batch_overhead_ns = 0;
@@ -248,23 +251,26 @@ TEST(Ctrl, AppliesNeverInterleaveWithHandlers) {
   RuntimeControl rc(tb.node(1), cfg);
 
   constexpr int kProbes = 1500;
+  constexpr std::uint64_t kBatches = 4000;
+  std::atomic<bool> probing{false};
   for (int i = 0; i < kProbes; ++i) {
-    tb.sim().after(1 + i * 2 * sim::kUs,
-                   [&tb] { tb.node(1).inject("probe", {0}); });
+    tb.sim().after(1 + i * 2 * sim::kUs, [&tb, &probing] {
+      probing.store(true, std::memory_order_release);
+      tb.node(1).inject("probe", {0});
+    });
   }
 
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> submitted{0};
   std::thread producer([&] {
-    interp::Value v = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      rc.plane().submit(fill_pair(v++));
-      submitted.fetch_add(1, std::memory_order_relaxed);
+    while (!probing.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (std::uint64_t i = 1; i <= kBatches; ++i) {
+      rc.plane().submit(fill_pair(static_cast<interp::Value>(i)));
+      std::this_thread::yield();  // let applies land between submits
     }
   });
 
   tb.settle(2 * kProbes * sim::kUs + 10 * sim::kMs);
-  stop.store(true);
   producer.join();
   rc.plane().flush();
 
@@ -272,14 +278,15 @@ TEST(Ctrl, AppliesNeverInterleaveWithHandlers) {
   EXPECT_EQ(tb.node(1).array("torn")->get(0), 0)
       << "a probe observed a half-applied batch";
   const ControlPlaneStats s = rc.plane().snapshot();
-  EXPECT_EQ(s.batches_applied + s.queue_depth,
-            submitted.load(std::memory_order_relaxed));
+  EXPECT_EQ(s.batches_applied, kBatches);
+  EXPECT_EQ(s.queue_depth, 0u);
   EXPECT_EQ(s.writes_applied, s.batches_applied * 16);
-  // All sixteen cells agree after the final flush.
-  const interp::Value final_v = tb.node(1).array("alo")->get(0);
+  // All sixteen cells hold the last batch's value after the final flush.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(tb.node(1).array("alo")->get(i), final_v);
-    EXPECT_EQ(tb.node(1).array("ahi")->get(i), final_v);
+    EXPECT_EQ(tb.node(1).array("alo")->get(i),
+              static_cast<interp::Value>(kBatches));
+    EXPECT_EQ(tb.node(1).array("ahi")->get(i),
+              static_cast<interp::Value>(kBatches));
   }
 }
 

@@ -1,7 +1,9 @@
 // Golden-file tests for the code-generating emitters: the emitted artifact
 // for every paper app (apps::all_apps()) is checked in under tests/golden/
-// and diffed verbatim — Tofino-style P4_16 as <KEY>.p4 and the eBPF/XDP C
-// program as <KEY>.c. Any intentional emitter change regenerates them with
+// and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the eBPF/XDP C
+// program as <KEY>.c and the native module source as native/<KEY>.cpp (the
+// JIT store keys on that text). Any intentional emitter change regenerates
+// them with
 //
 //   UPDATE_GOLDEN=1 ./build/test_golden
 //
@@ -17,30 +19,33 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "core/sweep.hpp"
+#include "native/emit.hpp"
 #include "support/strings.hpp"
 
 namespace lucid {
 namespace {
 
-/// One golden suite: a text-emitting backend plus its file extension and a
-/// structural marker every artifact must contain.
+/// One golden suite: a text-emitting backend plus where its goldens live
+/// and a structural marker every artifact must contain.
 struct GoldenSuite {
   std::string backend;
+  std::string subdir;  // under tests/golden/, empty or ending in '/'
   std::string extension;
   std::string marker;  // sanity: a full program, not a truncated artifact
 };
 
 const std::vector<GoldenSuite>& golden_suites() {
   static const std::vector<GoldenSuite> suites = {
-      {"p4", ".p4", "Switch(pipe) main;"},
-      {"ebpf", ".c", "SEC(\"license\") char _license[] = \"GPL\";"},
+      {"p4", "", ".p4", "Switch(pipe) main;"},
+      {"ebpf", "", ".c", "SEC(\"license\") char _license[] = \"GPL\";"},
+      {"native", "native/", ".cpp", "lucid_native_run_batch"},
   };
   return suites;
 }
 
 std::string golden_path(const std::string& key, const GoldenSuite& suite) {
-  return std::string(LUCID_SOURCE_DIR) + "/tests/golden/" + key +
-         suite.extension;
+  return std::string(LUCID_SOURCE_DIR) + "/tests/golden/" + suite.subdir +
+         key + suite.extension;
 }
 
 bool update_requested() {
@@ -54,6 +59,13 @@ std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {
   DriverOptions opts;
   opts.program_name = spec.key;
   const CompilerDriver driver(opts, &registry);
+  if (backend == "native") {
+    // The module text alone: the native backend's emit also JIT-compiles
+    // it, which a byte comparison does not need.
+    const CompilationPtr comp = driver.run(spec.source, Stage::Layout);
+    EXPECT_TRUE(comp->ok()) << spec.key << ":\n" << comp->diags().render();
+    return native::emit_source(*comp, spec.key).text;
+  }
   const CompilationPtr comp = driver.start(spec.source);
   const BackendArtifact artifact = driver.emit(comp, backend);
   EXPECT_TRUE(artifact.ok)

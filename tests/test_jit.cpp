@@ -8,7 +8,9 @@
 // test, and read the JIT counters from its --metrics-out snapshot.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -202,6 +204,39 @@ TEST_F(JitStore, EditedStoredSourceIsRecompiled) {
   EXPECT_EQ(sample(prom, "lucid_jit_compile_ms_count"), 1);
   EXPECT_EQ(support::read_file(cpp), original);
   EXPECT_TRUE(debris(tmp).empty()) << debris(tmp).front();
+}
+
+TEST_F(JitStore, StaleTempsOfAKilledCompileAreTrimmed) {
+  // A SIGKILLed compile leaves <key>.tmp-<pid>-<seq>.{cpp,so} behind. The
+  // next process's store open removes the ones older than kStaleTempAge and
+  // keeps one as old as a live compile can hold (primary + fallback).
+  const std::string tmp = root_ + "/tmp";
+  ASSERT_TRUE(fs::create_directory(tmp));
+  const std::string store = store_of(tmp);
+  ASSERT_EQ(::mkdir(store.c_str(), 0700), 0);
+  const auto plant = [&](const std::string& name,
+                         std::chrono::seconds age) {
+    const std::string path = store + "/" + name;
+    EXPECT_TRUE(support::write_file(path, "// partial\n"));
+    timespec when{};
+    ::clock_gettime(CLOCK_REALTIME, &when);
+    when.tv_sec -= static_cast<time_t>(age.count());
+    const timespec times[2] = {when, when};
+    EXPECT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
+    return path;
+  };
+  const auto stale = kStaleTempAge + std::chrono::seconds(60);
+  const std::string old_cpp = plant("00000000deadbeef.tmp-1-0.cpp", stale);
+  const std::string old_so = plant("00000000deadbeef.tmp-1-1.so", stale);
+  const std::string live =
+      plant("00000000feedface.tmp-2-0.cpp", 2 * kCompileTimeout);
+
+  const ProcessResult r = demo(tmp, root_ + "/m.prom");
+  ASSERT_TRUE(r.ok()) << r.err << r.error;
+  EXPECT_FALSE(fs::exists(old_cpp));
+  EXPECT_FALSE(fs::exists(old_so));
+  EXPECT_TRUE(fs::exists(live));
+  EXPECT_TRUE(fs::exists(only_entry(store, ".so")));  // the store still works
 }
 
 TEST_F(JitStore, WorldWritableStoreIsRefused) {

@@ -389,8 +389,7 @@ TEST(NativeBatch, DrainAcrossTimestampTieBreakBoundary) {
   // exactly the timestamp burst b+1's injections arrive, so every drain
   // runs into same-timestamp pending injections and (for delay-heavy apps)
   // same-timestamp PFC frames — the tie-break boundaries the drain must
-  // stop at. The reference interpreter is the oracle; the per-entry loop
-  // corroborates.
+  // stop at. The reference interpreter is the oracle.
   for (const char* key : {"SFW", "NAT"}) {
     const auto& app = apps::app(key);
     interp::TestbedConfig cfg;
@@ -406,15 +405,9 @@ TEST(NativeBatch, DrainAcrossTimestampTieBreakBoundary) {
         diff::make_burst_schedule(prog->ir(), 23, 40, 8, /*gap_ns=*/pipe);
 
     const auto iref = diff::run_interp(app.source, app.key, plan);
-    ReplicaConfig batched;
-    batched.batch_loop = true;
-    const auto nbatch = diff::run_native(prog, plan, batched);
-    ReplicaConfig per_entry;
-    per_entry.batch_loop = false;
-    const auto nentry = diff::run_native(prog, plan, per_entry);
+    const auto nbatch = diff::run_native(prog, plan);
 
     EXPECT_EQ(diff::compare(prog->ir(), iref, nbatch), "") << key;
-    EXPECT_EQ(diff::compare(prog->ir(), nentry, nbatch), "") << key;
     EXPECT_GT(nbatch.executed, 0u) << key;
   }
 }
