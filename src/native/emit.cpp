@@ -20,15 +20,16 @@
 //     lockstep with support::fnv1a_word;
 //   - generated-event args mask to the event's param widths (EventCtor).
 //
-// Batch equivalence: lucid_native_run_batch runs packets in order, each one
-// straight through the whole pipeline (load, stages, flush) on a single
-// reused Ctx — exactly the order sequential run_one calls produce, so state
-// equivalence is trivial. A stage-major walk (each stage as a loop over the
-// batch, PISA's stage parallelism in software) would also preserve per-array
-// access order — the layout pins every register array to exactly one stage
-// (opt::Pipeline::array_stage) and a packet makes at most one sALU visit per
-// array per pass — but it round-trips every packet's Ctx through a scratch
-// slab between stages, which measures slower at event-loop drain sizes.
+// Batch equivalence: lucid_native_run_batch, the module's only executor
+// entry, runs packets in order, each one straight through the whole pipeline
+// (load, stages, flush) on a single reused Ctx — exactly the order n
+// one-packet calls produce, so state equivalence is trivial. A stage-major
+// walk (each stage as a loop over the batch, PISA's stage parallelism in
+// software) would also preserve per-array access order — the layout pins
+// every register array to exactly one stage (opt::Pipeline::array_stage) and
+// a packet makes at most one sALU visit per array per pass — but it
+// round-trips every packet's Ctx through a scratch slab between stages,
+// which measures slower at event-loop drain sizes.
 // Locals are per-packet (Ctx, fully re-initialized by lucid_load), and
 // generate records flush per packet after its last stage.
 #include "native/emit.hpp"
@@ -281,12 +282,12 @@ class Emitter {
          "(src/native/jit.cpp) and dlopen'd.");
     line("// Semantics mirror interp::Runtime exactly; see "
          "src/native/emit.cpp for the contract.");
-    line("#include <cstdint>");
-    blank();
-    line("using i32 = std::int32_t;");
-    line("using u32 = std::uint32_t;");
-    line("using i64 = std::int64_t;");
-    line("using u64 = std::uint64_t;");
+    line("// No #include: the compiler's predefined type macros stand in for");
+    line("// <cstdint>, and the module links without libc (-nostdlib).");
+    line("using i32 = __INT32_TYPE__;");
+    line("using u32 = __UINT32_TYPE__;");
+    line("using i64 = __INT64_TYPE__;");
+    line("using u64 = __UINT64_TYPE__;");
     blank();
     line("namespace {");
     blank();
@@ -297,6 +298,10 @@ class Emitter {
          "i64 self_id; i64 args[kMaxArgs]; };");
     line("struct GenOut { i32 event_id; i32 multicast; i32 group; "
          "i32 nargs; i64 delay_ns; i64 location; i64 args[kMaxArgs]; };");
+    line("static_assert(sizeof(i32) == 4 && sizeof(u32) == 4, "
+         "\"ABI drift\");");
+    line("static_assert(sizeof(i64) == 8 && sizeof(u64) == 8, "
+         "\"ABI drift\");");
     line("static_assert(sizeof(PacketIn) == " +
          std::to_string(sizeof(PacketIn)) + ", \"ABI drift\");");
     line("static_assert(sizeof(GenOut) == " +
@@ -610,16 +615,6 @@ class Emitter {
          std::to_string(kAbiVersion) + "; }");
     line("extern \"C\" i32 lucid_native_max_gens() { return " +
          std::to_string(gens) + "; }");
-    blank();
-    line("extern \"C\" i32 lucid_native_run_one(i64* const* R, "
-         "const PacketIn* in, GenOut* out) {");
-    line("  Ctx m;");
-    line("  lucid_load(m, *in);");
-    for (int s = 0; s < stages; ++s) {
-      line("  lucid_stage_" + std::to_string(s) + "(m, R);");
-    }
-    line("  return lucid_flush(m, out);");
-    line("}");
     blank();
     line("// Batch mode: per-packet straight-line execution with one shared");
     line("// Ctx — the pipeline state stays in registers instead of round-");

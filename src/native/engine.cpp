@@ -167,8 +167,11 @@ void Runtime::execute(const pisa::Packet& p) {
   in.self_id = node_.self();
   for (std::int32_t i = 0; i < in.nargs; ++i) in.args[i] = p.args[i];
 
-  const std::int32_t n =
-      prog_->module().run_one(array_ptrs_.data(), in, gen_buf_.data());
+  // A batch of one through the raw entry, so these per-packet calls stay
+  // out of the native batch metrics.
+  std::int32_t n = 0;
+  prog_->module().raw_run_batch()(array_ptrs_.data(), &in, 1, gen_buf_.data(),
+                                  &n);
   const ir::ProgramIR& ir = prog_->ir();
   for (std::int32_t g = 0; g < n; ++g) {
     const GenOut& go = gen_buf_[static_cast<std::size_t>(g)];
@@ -596,8 +599,8 @@ void Replica::flush_exec_batch() {
   }
   // The raw entry point: packets in order, each straight through the
   // pipeline on one reused Ctx (emit.cpp), so state is byte-identical to
-  // sequential run_one calls — the contract
-  // tests/test_native.cpp::BatchMatchesSequentialRunOne pins.
+  // n one-packet calls — the contract
+  // tests/test_native.cpp::OneBatchMatchesOnePacketBatches pins.
   run_batch_fn_(array_ptrs_.data(), batch_in_.data(), n, batch_out_.data(),
                 batch_counts_.data());
   // Generated events dispatch per packet, in packet order — the same

@@ -39,10 +39,11 @@ namespace {
 // toolchain accepts -march=native (e.g. some cross setups), so a compile
 // that fails with it is retried with the plain flags. The key names the
 // first list; the fallback is a pure function of the same toolchain.
-const std::vector<std::string> kFlags = {"-O3", "-march=native", "-fPIC",
-                                         "-shared", "-std=c++17"};
-const std::vector<std::string> kFallbackFlags = {"-O3", "-fPIC", "-shared",
-                                                 "-std=c++17"};
+const std::vector<std::string> kFlags = {
+    "-O3", "-march=native", "-fPIC", "-shared", "-nostdlib", "-pipe",
+    "-std=c++17"};
+const std::vector<std::string> kFallbackFlags = {
+    "-O3", "-fPIC", "-shared", "-nostdlib", "-pipe", "-std=c++17"};
 
 struct JitMetrics {
   obs::Histogram& compile_ms = obs::Registry::global().histogram(
@@ -369,10 +370,8 @@ std::shared_ptr<Module> Module::bind(void* handle, Origin origin,
   const auto abi_fn =
       reinterpret_cast<AbiVersionFn>(resolve(kSymAbiVersion));
   const auto gens_fn = reinterpret_cast<MaxGensFn>(resolve(kSymMaxGens));
-  const auto one_fn = reinterpret_cast<RunOneFn>(resolve(kSymRunOne));
   const auto batch_fn = reinterpret_cast<RunBatchFn>(resolve(kSymRunBatch));
-  if (abi_fn == nullptr || gens_fn == nullptr || one_fn == nullptr ||
-      batch_fn == nullptr) {
+  if (abi_fn == nullptr || gens_fn == nullptr || batch_fn == nullptr) {
     ::dlclose(handle);
     return nullptr;
   }
@@ -384,7 +383,6 @@ std::shared_ptr<Module> Module::bind(void* handle, Origin origin,
   }
   auto mod = std::shared_ptr<Module>(new Module());
   mod->handle_ = handle;
-  mod->run_one_ = one_fn;
   mod->run_batch_ = batch_fn;
   mod->max_gens_ = gens_fn();
   mod->compile_ms_ = compile_ms;

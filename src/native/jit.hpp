@@ -1,8 +1,14 @@
 // In-process JIT for native pipeline modules: compiles the emitted C++ with
-// the system compiler, dlopens the result, and resolves the four ABI entry
-// points (src/native/abi.hpp). Modules live in a two-layer,
+// the system compiler, dlopens the result, and resolves the three ABI entry
+// points (src/native/abi.hpp, v2). Modules live in a two-layer,
 // content-addressed cache, so the external compiler runs once per module
 // per machine, not once per process.
+//
+// Flags: `-O3 -march=native -fPIC -shared -nostdlib -pipe -std=c++17`,
+// retried without `-march=native` if that compile fails. `-nostdlib` gives
+// the crt-free, library-free link abi.hpp describes. `-O3` stays: `-O2`
+// compiles ~12% faster but the raw kernel runs ~1.5x slower (geomean over
+// the paper apps; ROADMAP item 2 has the data).
 //
 // Compiler: $LUCID_NATIVE_CXX, then the compiler that built this binary
 // (LUCID_NATIVE_CXX_DEFAULT, baked in by CMake), then "c++". The variable is
@@ -85,10 +91,6 @@ class Module {
                                       Origin* served = nullptr);
 
   [[nodiscard]] std::int32_t max_gens() const { return max_gens_; }
-  [[nodiscard]] std::int32_t run_one(std::int64_t* const* arrays,
-                                     const PacketIn& in, GenOut* out) const {
-    return run_one_(arrays, &in, out);
-  }
   /// Runs a batch and publishes the obs batch metrics (one histogram
   /// observation + one counter add per *batch*, so the per-packet path
   /// inside the generated code stays untouched). Out-of-line in jit.cpp.
@@ -97,7 +99,8 @@ class Module {
                  std::int32_t* gen_counts) const;
 
   /// The raw generated entry point, with no instrumentation at all —
-  /// bench_obs measures its pps as the baseline for the overhead gate.
+  /// bench_obs measures its pps as the baseline for the overhead gate, and
+  /// native::Runtime runs its one-packet batches through it.
   [[nodiscard]] RunBatchFn raw_run_batch() const { return run_batch_; }
 
   /// Milliseconds spent in the external compiler (0 for a store hit).
@@ -114,7 +117,6 @@ class Module {
                                       double compile_ms, std::string* error);
 
   void* handle_ = nullptr;
-  RunOneFn run_one_ = nullptr;
   RunBatchFn run_batch_ = nullptr;
   std::int32_t max_gens_ = 0;
   double compile_ms_ = 0.0;

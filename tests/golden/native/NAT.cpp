@@ -1,19 +1,21 @@
 // NAT — generated by the Lucid compiler (native backend)
 // Self-contained: compiled by the in-process JIT (src/native/jit.cpp) and dlopen'd.
 // Semantics mirror interp::Runtime exactly; see src/native/emit.cpp for the contract.
-#include <cstdint>
-
-using i32 = std::int32_t;
-using u32 = std::uint32_t;
-using i64 = std::int64_t;
-using u64 = std::uint64_t;
+// No #include: the compiler's predefined type macros stand in for
+// <cstdint>, and the module links without libc (-nostdlib).
+using i32 = __INT32_TYPE__;
+using u32 = __UINT32_TYPE__;
+using i64 = __INT64_TYPE__;
+using u64 = __UINT64_TYPE__;
 
 namespace {
 
-// ABI structs — textual mirror of src/native/abi.hpp (v1).
+// ABI structs — textual mirror of src/native/abi.hpp (v2).
 constexpr i32 kMaxArgs = 8;
 struct PacketIn { i32 event_id; i32 nargs; i64 now_ns; i64 self_id; i64 args[kMaxArgs]; };
 struct GenOut { i32 event_id; i32 multicast; i32 group; i32 nargs; i64 delay_ns; i64 location; i64 args[kMaxArgs]; };
+static_assert(sizeof(i32) == 4 && sizeof(u32) == 4, "ABI drift");
+static_assert(sizeof(i64) == 8 && sizeof(u64) == 8, "ABI drift");
 static_assert(sizeof(PacketIn) == 88, "ABI drift");
 static_assert(sizeof(GenOut) == 96, "ABI drift");
 
@@ -193,22 +195,8 @@ inline i32 lucid_flush(Ctx& m, GenOut* out) {
 
 }  // namespace
 
-extern "C" u32 lucid_native_abi_version() { return 1; }
+extern "C" u32 lucid_native_abi_version() { return 2; }
 extern "C" i32 lucid_native_max_gens() { return 0; }
-
-extern "C" i32 lucid_native_run_one(i64* const* R, const PacketIn* in, GenOut* out) {
-  Ctx m;
-  lucid_load(m, *in);
-  lucid_stage_0(m, R);
-  lucid_stage_1(m, R);
-  lucid_stage_2(m, R);
-  lucid_stage_3(m, R);
-  lucid_stage_4(m, R);
-  lucid_stage_5(m, R);
-  lucid_stage_6(m, R);
-  lucid_stage_7(m, R);
-  return lucid_flush(m, out);
-}
 
 // Batch mode: per-packet straight-line execution with one shared
 // Ctx — the pipeline state stays in registers instead of round-

@@ -1,23 +1,30 @@
 // The JIT module cache (src/native/jit.hpp): the persistent module store
 // shared across processes, its collision and ownership guards, the
-// in-memory layer under concurrent loads, and the shell-free, time-bounded
-// compiler spawn (src/support/process.hpp).
+// in-memory layer under concurrent loads, the shell-free, time-bounded
+// compiler spawn (src/support/process.hpp), and the link contract of a
+// stored module (three ABI v2 symbols, no DT_NEEDED, libc from the host).
 //
 // Cross-process cases drive the real `lucidc --native-demo` through
 // `env TMPDIR=... lucidc ...` — an argv, no shell — on a fresh $TMPDIR per
 // test, and read the JIT counters from its --metrics-out snapshot.
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+#include <elf.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +45,100 @@ using support::ProcessResult;
 using support::run_process;
 
 constexpr std::chrono::seconds kChildTimeout{120};
+
+/// $TMPDIR pointed at `dir` for this process until destruction, so
+/// in-process Module::load calls use a store under `dir`.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& dir) {
+    const char* old = std::getenv("TMPDIR");
+    if (old != nullptr) saved_ = old;
+    EXPECT_EQ(::setenv("TMPDIR", dir.c_str(), 1), 0);
+  }
+  ScopedTmpdir(const ScopedTmpdir&) = delete;
+  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
+  ~ScopedTmpdir() {
+    if (saved_) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// What `readelf --dyn-syms -d` shows of a shared object: its global
+/// dynamic symbols, defined and undefined, its DT_NEEDED libraries, and
+/// whether it has DT_INIT/DT_FINI (the crt files' _init/_fini).
+struct DynamicLinkage {
+  std::set<std::string> defined;
+  std::set<std::string> undefined;
+  std::vector<std::string> needed;
+  bool init_fini = false;
+};
+
+DynamicLinkage read_linkage(const std::string& path) {
+  DynamicLinkage out;
+  const std::optional<std::string> file = support::read_file(path);
+  Elf64_Ehdr eh{};
+  if (!file || file->size() < sizeof(eh)) {
+    ADD_FAILURE() << "unreadable ELF " << path;
+    return out;
+  }
+  std::memcpy(&eh, file->data(), sizeof(eh));
+  if (std::memcmp(eh.e_ident, ELFMAG, SELFMAG) != 0 ||
+      eh.e_ident[EI_CLASS] != ELFCLASS64 ||
+      eh.e_shoff + std::uint64_t{eh.e_shnum} * sizeof(Elf64_Shdr) >
+          file->size()) {
+    ADD_FAILURE() << "not a whole ELF64 image " << path;
+    return out;
+  }
+  // Copies a T out of the image; a reference past its end fails loudly.
+  const auto at = [&](auto* dst, std::uint64_t off) {
+    if (off + sizeof(*dst) > file->size()) {
+      throw std::out_of_range("ELF reference past EOF in " + path);
+    }
+    std::memcpy(dst, file->data() + off, sizeof(*dst));
+  };
+  const auto section = [&](std::uint64_t i) {
+    Elf64_Shdr sh{};
+    at(&sh, eh.e_shoff + i * sizeof(sh));
+    return sh;
+  };
+  const auto str = [&](const Elf64_Shdr& strtab, std::uint64_t off) {
+    return std::string(file->c_str() + strtab.sh_offset + off);
+  };
+  for (std::uint64_t i = 0; i < eh.e_shnum; ++i) {
+    const Elf64_Shdr sh = section(i);
+    if (sh.sh_type == SHT_DYNSYM) {
+      const Elf64_Shdr strtab = section(sh.sh_link);
+      for (std::uint64_t off = sizeof(Elf64_Sym); off < sh.sh_size;
+           off += sizeof(Elf64_Sym)) {  // entry 0 is the null symbol
+        Elf64_Sym sym{};
+        at(&sym, sh.sh_offset + off);
+        if (ELF64_ST_BIND(sym.st_info) == STB_LOCAL) continue;
+        (sym.st_shndx == SHN_UNDEF ? out.undefined : out.defined)
+            .insert(str(strtab, sym.st_name));
+      }
+    } else if (sh.sh_type == SHT_DYNAMIC) {
+      const Elf64_Shdr strtab = section(sh.sh_link);
+      for (std::uint64_t off = 0; off < sh.sh_size; off += sizeof(Elf64_Dyn)) {
+        Elf64_Dyn dyn{};
+        at(&dyn, sh.sh_offset + off);
+        if (dyn.d_tag == DT_NULL) break;
+        if (dyn.d_tag == DT_NEEDED) {
+          out.needed.push_back(str(strtab, dyn.d_un.d_val));
+        }
+        if (dyn.d_tag == DT_INIT || dyn.d_tag == DT_FINI) {
+          out.init_fini = true;
+        }
+      }
+    }
+  }
+  return out;
+}
 
 class JitStore : public ::testing::Test {
  protected:
@@ -266,9 +367,7 @@ TEST_F(JitStore, ConcurrentLoadsOfOneSourceCompileOnce) {
   const std::string source =
       emit_source(*comp, "jit-concurrency").text + "// " + root_ + "\n";
 
-  const char* old = std::getenv("TMPDIR");
-  const std::string saved = old != nullptr ? old : "";
-  ASSERT_EQ(::setenv("TMPDIR", root_.c_str(), 1), 0);
+  std::optional<ScopedTmpdir> tmpdir(root_);
   obs::Registry& reg = obs::Registry::global();
   obs::Histogram& compiles = reg.histogram("lucid_jit_compile_ms");
   obs::Counter& mem_hits =
@@ -290,11 +389,7 @@ TEST_F(JitStore, ConcurrentLoadsOfOneSourceCompileOnce) {
     });
   }
   for (auto& t : threads) t.join();
-  if (old != nullptr) {
-    ::setenv("TMPDIR", saved.c_str(), 1);
-  } else {
-    ::unsetenv("TMPDIR");
-  }
+  tmpdir.reset();
 
   for (int i = 0; i < kThreads; ++i) {
     const auto k = static_cast<std::size_t>(i);
@@ -312,6 +407,99 @@ TEST_F(JitStore, ConcurrentLoadsOfOneSourceCompileOnce) {
   EXPECT_EQ(Module::load(source, &err, &served).get(), mods[0].get()) << err;
   EXPECT_EQ(served, Origin::kMemory);
   EXPECT_TRUE(debris(root_).empty()) << debris(root_).front();
+}
+
+// ---------------------------------------------------------------------------
+// The link contract of a stored module
+// ---------------------------------------------------------------------------
+
+TEST_F(JitStore, StoredModuleExportsThreeSymbolsAndNeedsNoLibrary) {
+  const std::string tmp = root_ + "/tmp";
+  ASSERT_TRUE(fs::create_directory(tmp));
+  const ProcessResult r = demo(tmp, root_ + "/m.prom");
+  ASSERT_TRUE(r.ok()) << r.err << r.error;
+  const std::string so = only_entry(store_of(tmp), ".so");
+  ASSERT_FALSE(so.empty());
+
+  void* handle = ::dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ASSERT_NE(handle, nullptr) << ::dlerror();
+  EXPECT_NE(::dlsym(handle, kSymAbiVersion), nullptr);
+  EXPECT_NE(::dlsym(handle, kSymMaxGens), nullptr);
+  EXPECT_NE(::dlsym(handle, kSymRunBatch), nullptr);
+  EXPECT_EQ(::dlsym(handle, "lucid_native_run_one"), nullptr);
+  const auto abi = reinterpret_cast<AbiVersionFn>(
+      ::dlsym(handle, kSymAbiVersion));
+  if (abi != nullptr) {
+    EXPECT_EQ(abi(), kAbiVersion);
+  }
+  ::dlclose(handle);
+
+  const DynamicLinkage link = read_linkage(so);
+  std::set<std::string> exported;
+  for (const std::string& name : link.defined) {
+    if (name.rfind("lucid_native_", 0) == 0) exported.insert(name);
+  }
+  EXPECT_EQ(exported, (std::set<std::string>{kSymAbiVersion, kSymMaxGens,
+                                              kSymRunBatch}));
+  // -nostdlib: no library and no crt file (which would add _init/_fini).
+  EXPECT_TRUE(link.needed.empty()) << "DT_NEEDED " << link.needed.front();
+  EXPECT_FALSE(link.init_fini);
+}
+
+TEST_F(JitStore, LibcCallInAModuleBindsToTheHost) {
+  // A hand-written module whose run_batch copies a 64 KiB struct: far past
+  // any inline expansion, so the compiler emits a memcpy call that the
+  // -nostdlib link leaves undefined and dlopen binds to the host's libc.
+  // The trailing store path keeps the source new to the memory layer.
+  const std::string source =
+      "using i32 = __INT32_TYPE__;\n"
+      "using u32 = __UINT32_TYPE__;\n"
+      "using i64 = __INT64_TYPE__;\n"
+      "struct Big { i64 cells[8192]; };\n"
+      "extern \"C\" u32 lucid_native_abi_version() { return " +
+      std::to_string(kAbiVersion) +
+      "; }\n"
+      "extern \"C\" i32 lucid_native_max_gens() { return 0; }\n"
+      "extern \"C\" void lucid_native_run_batch(i64* const* R, const void*,\n"
+      "                                       i32 n, void*, i32* counts) {\n"
+      "  for (i32 i = 0; i < n; ++i) {\n"
+      "    Big b;\n"
+      "    __builtin_memcpy(&b, R[0], sizeof(Big));\n"
+      "    b.cells[0] += 1;\n"
+      "    __builtin_memcpy(R[1], &b, sizeof(Big));\n"
+      "    counts[i] = 0;\n"
+      "  }\n"
+      "}\n"
+      "// " + root_ + "\n";
+
+  std::shared_ptr<Module> mod;
+  std::string err;
+  {
+    ScopedTmpdir tmpdir(root_);
+    mod = Module::load(source, &err);
+  }
+  ASSERT_NE(mod, nullptr) << err;
+  EXPECT_EQ(mod->origin(), Origin::kCompiled);
+  EXPECT_EQ(mod->max_gens(), 0);
+
+  // The call is really there: the module imports memcpy and no library.
+  const DynamicLinkage link = read_linkage(only_entry(store_of(root_), ".so"));
+  EXPECT_EQ(link.undefined.count("memcpy"), 1u);
+  EXPECT_TRUE(link.needed.empty()) << "DT_NEEDED " << link.needed.front();
+
+  std::vector<std::int64_t> src(8192);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::int64_t>(i * 7 + 3);
+  }
+  std::vector<std::int64_t> dst(src.size(), -1);
+  std::int64_t* arrays[] = {src.data(), dst.data()};
+  PacketIn in[2];
+  std::int32_t counts[2] = {-1, -1};
+  mod->raw_run_batch()(arrays, in, 2, nullptr, counts);
+  EXPECT_EQ(dst[0], src[0] + 1);
+  EXPECT_TRUE(std::equal(src.begin() + 1, src.end(), dst.begin() + 1));
+  EXPECT_EQ(counts[0], 0);
+  EXPECT_EQ(counts[1], 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 // native engine must leave register state *byte-identical* to the reference
 // interpreter — every cell of every array, every per-event execution and
 // generate count, every scheduler counter. These tests pin that contract on
-// all ten paper applications with randomized traffic, pin run_batch against
-// run_one, pin the coupled Runtime inside a real multi-node fabric, and pin
-// the control-plane adapter (ctrl::NativeDataPlane) against the interp one.
+// all ten paper applications with randomized traffic, pin one n-packet
+// run_batch against n one-packet calls, pin the coupled Runtime inside a
+// real multi-node fabric, and pin the control-plane adapter
+// (ctrl::NativeDataPlane) against the interp one.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
@@ -70,13 +71,14 @@ TEST(NativeDifferential, SeedChangesScheduleButNotAgreement) {
 }
 
 // ---------------------------------------------------------------------------
-// run_batch == run_one
+// One n-packet run_batch == n one-packet run_batch calls
 // ---------------------------------------------------------------------------
 
-TEST(NativeBatch, BatchMatchesSequentialRunOne) {
+TEST(NativeBatch, OneBatchMatchesOnePacketBatches) {
   const auto prog = build_app("SFW");
   ASSERT_NE(prog, nullptr);
   const ir::ProgramIR& ir = prog->ir();
+  const RunBatchFn run_batch = prog->module().raw_run_batch();
 
   // Two identical zeroed register files.
   std::vector<std::vector<std::int64_t>> one_cells;
@@ -90,8 +92,8 @@ TEST(NativeBatch, BatchMatchesSequentialRunOne) {
   for (auto& c : one_cells) one_ptrs.push_back(c.data());
   for (auto& c : batch_cells) batch_ptrs.push_back(c.data());
 
-  // A packet vector spanning every handled event with varied args; batch
-  // size 1000 crosses the module's internal chunk boundary (256).
+  // A packet vector spanning every handled event with varied args; 1000
+  // packets is far past any event-loop drain size.
   std::vector<const ir::EventInfo*> handled;
   for (const auto& cand : ir.events) {
     if (cand.has_handler) handled.push_back(&cand);
@@ -115,25 +117,38 @@ TEST(NativeBatch, BatchMatchesSequentialRunOne) {
     packets.push_back(in);
   }
 
-  const auto gens = std::max<std::int32_t>(prog->module().max_gens(), 1);
-  std::vector<GenOut> one_out(static_cast<std::size_t>(gens));
-  std::vector<std::int32_t> one_counts;
-  for (const auto& p : packets) {
-    one_counts.push_back(
-        prog->module().run_one(one_ptrs.data(), p, one_out.data()));
+  const auto gens = static_cast<std::size_t>(
+      std::max<std::int32_t>(prog->module().max_gens(), 1));
+  std::vector<GenOut> one_out(packets.size() * gens);
+  std::vector<std::int32_t> one_counts(packets.size(), -1);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    run_batch(one_ptrs.data(), &packets[i], 1, one_out.data() + i * gens,
+              &one_counts[i]);
   }
 
-  std::vector<GenOut> batch_out(packets.size() *
-                                static_cast<std::size_t>(gens));
+  std::vector<GenOut> batch_out(packets.size() * gens);
   std::vector<std::int32_t> batch_counts(packets.size(), -1);
-  prog->module().run_batch(batch_ptrs.data(), packets.data(),
-                           static_cast<std::int32_t>(packets.size()),
-                           batch_out.data(), batch_counts.data());
+  run_batch(batch_ptrs.data(), packets.data(),
+            static_cast<std::int32_t>(packets.size()), batch_out.data(),
+            batch_counts.data());
 
   EXPECT_EQ(one_cells, batch_cells);
+  std::int32_t generated = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_EQ(one_counts[i], batch_counts[i]) << "packet " << i;
+    ASSERT_EQ(one_counts[i], batch_counts[i]) << "packet " << i;
+    generated += batch_counts[i];
+    for (std::int32_t g = 0; g < batch_counts[i]; ++g) {
+      const GenOut& a = one_out[i * gens + static_cast<std::size_t>(g)];
+      const GenOut& b = batch_out[i * gens + static_cast<std::size_t>(g)];
+      EXPECT_EQ(a.event_id, b.event_id) << "packet " << i << " gen " << g;
+      EXPECT_EQ(a.delay_ns, b.delay_ns) << "packet " << i << " gen " << g;
+      EXPECT_EQ(std::vector<std::int64_t>(a.args, a.args + a.nargs),
+                std::vector<std::int64_t>(b.args, b.args + b.nargs))
+          << "packet " << i << " gen " << g;
+    }
   }
+  // A run that generated nothing would compare no generate records.
+  EXPECT_GT(generated, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -516,9 +531,9 @@ TEST(NativeBackend, RegisteredAndEmits) {
   EXPECT_TRUE(art.ok) << comp->diags().render();
   EXPECT_GT(art.metrics.at("loc"), 0);
   EXPECT_GT(art.metrics.at("stages"), 0);
-  // The generated module carries the four ABI entry points.
-  EXPECT_NE(art.text.find("lucid_native_run_one"), std::string::npos);
+  // The generated module's one executor entry is run_batch (ABI v2).
   EXPECT_NE(art.text.find("lucid_native_run_batch"), std::string::npos);
+  EXPECT_EQ(art.text.find("lucid_native_run_one"), std::string::npos);
 }
 
 }  // namespace
