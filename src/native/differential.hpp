@@ -163,6 +163,43 @@ struct EngineResult {
   std::uint64_t recirculations = 0;
 };
 
+/// The observable state of node 1 of an interpreter testbed (the single
+/// node run_interp builds).
+inline EngineResult snapshot(interp::Testbed& tb) {
+  EngineResult r;
+  interp::Runtime& rt = tb.node(1);
+  for (const auto& arr : tb.compilation().ir().arrays) {
+    const pisa::RegisterArray* a = rt.array(arr.name);
+    r.arrays.emplace_back(a->data(), a->data() + a->size());
+  }
+  const interp::RunStats& st = rt.stats();
+  r.stats.executions = st.executions;
+  r.stats.generated = st.generated;
+  r.stats.total_executions = st.total_executions;
+  const auto& sched_stats = tb.sched_at(1).stats();
+  r.executed = sched_stats.executed;
+  r.forwarded = sched_stats.forwarded;
+  r.delayed_enqueues = sched_stats.delayed_enqueues;
+  r.recirculations = tb.switch_at(1).recirculations();
+  r.ok = true;
+  return r;
+}
+
+/// The observable state of a replica.
+inline EngineResult snapshot(const Replica& rep) {
+  EngineResult r;
+  for (std::size_t i = 0; i < rep.array_count(); ++i) {
+    r.arrays.push_back(rep.array_cells(i));
+  }
+  r.stats = rep.run_stats();
+  r.executed = rep.stats().executed;
+  r.forwarded = rep.stats().forwarded;
+  r.delayed_enqueues = rep.stats().delayed_enqueues;
+  r.recirculations = rep.stats().recirculations;
+  r.ok = true;
+  return r;
+}
+
 inline EngineResult run_interp(const std::string& source,
                                const std::string& name, const Schedule& s,
                                const interp::TestbedConfig& base = {}) {
@@ -184,22 +221,8 @@ inline EngineResult run_interp(const std::string& source,
   const auto t0 = std::chrono::steady_clock::now();
   tb.sim().run_until(s.horizon);
   const auto t1 = std::chrono::steady_clock::now();
+  r = snapshot(tb);
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-
-  for (const auto& arr : tb.compilation().ir().arrays) {
-    const pisa::RegisterArray* a = rt.array(arr.name);
-    r.arrays.emplace_back(a->data(), a->data() + a->size());
-  }
-  const interp::RunStats& st = rt.stats();
-  r.stats.executions = st.executions;
-  r.stats.generated = st.generated;
-  r.stats.total_executions = st.total_executions;
-  const auto& sched_stats = tb.sched_at(1).stats();
-  r.executed = sched_stats.executed;
-  r.forwarded = sched_stats.forwarded;
-  r.delayed_enqueues = sched_stats.delayed_enqueues;
-  r.recirculations = tb.switch_at(1).recirculations();
-  r.ok = true;
   return r;
 }
 
@@ -217,17 +240,8 @@ inline EngineResult run_native(const std::shared_ptr<const Program>& prog,
   const auto t0 = std::chrono::steady_clock::now();
   rep.run_until(s.horizon);
   const auto t1 = std::chrono::steady_clock::now();
+  r = snapshot(rep);
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-
-  for (std::size_t i = 0; i < rep.array_count(); ++i) {
-    r.arrays.push_back(rep.array_cells(i));
-  }
-  r.stats = rep.run_stats();
-  r.executed = rep.stats().executed;
-  r.forwarded = rep.stats().forwarded;
-  r.delayed_enqueues = rep.stats().delayed_enqueues;
-  r.recirculations = rep.stats().recirculations;
-  r.ok = true;
   return r;
 }
 

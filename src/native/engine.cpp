@@ -620,19 +620,34 @@ void Replica::compact_pending() {
   // Erase the consumed prefix once it dominates the vector; amortized O(1)
   // per injection, and the capacity shrinks back once a soak run's transient
   // backlog has drained, so footprint tracks the *live* pending set. Live
-  // pass entries index into the consumed pending prefix, so compaction must
-  // wait until the FIFO has fully drained (the common case at a run
-  // boundary — drain_passes resets it to empty).
-  if (pass_head_ == pass_q_.size() &&
-      pending_head_ >= kPendingCompactThreshold &&
-      pending_head_ * 2 >= pending_.size()) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() +
-                       static_cast<std::ptrdiff_t>(pending_head_));
-    pending_head_ = 0;
-    if (pending_.capacity() > kPendingCompactThreshold * 4 &&
-        pending_.size() * 4 < pending_.capacity()) {
-      pending_.shrink_to_fit();
+  // pass entries still index into the consumed prefix, so the cut `lo` stops
+  // at the oldest of them and their indices are rebased by it — a streaming
+  // caller's run boundary always has the last burst in flight, so waiting
+  // for an empty FIFO would never compact. Pending-sourced passes are pushed
+  // in pending-index order, so the first one at or after pass_head_ is the
+  // oldest. Cutting only when lo is at least half the vector keeps the
+  // entries moved (and rebased) below the entries erased.
+  if (pending_head_ >= kPendingCompactThreshold) {
+    std::size_t lo = pending_head_;
+    for (std::size_t i = pass_head_; i < pass_q_.size(); ++i) {
+      if (!pass_q_[i].from_pool) {
+        lo = static_cast<std::size_t>(pass_q_[i].idx);
+        break;
+      }
+    }
+    if (lo * 2 >= pending_.size()) {
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<std::ptrdiff_t>(lo));
+      pending_head_ -= lo;
+      for (std::size_t i = pass_head_; i < pass_q_.size(); ++i) {
+        if (!pass_q_[i].from_pool) {
+          pass_q_[i].idx -= static_cast<std::int32_t>(lo);
+        }
+      }
+      if (pending_.capacity() > kPendingCompactThreshold * 4 &&
+          pending_.size() * 4 < pending_.capacity()) {
+        pending_.shrink_to_fit();
+      }
     }
   }
   // Same discipline for the pipeline-pass FIFO.

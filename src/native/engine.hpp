@@ -194,13 +194,20 @@ class Replica {
   [[nodiscard]] std::int64_t control_read(std::size_t decl_index,
                                           std::int64_t index) const;
 
-  /// Consumed-prefix compaction threshold for the pending-injection vector
-  /// (run_until erases the drained prefix once pending_head_ passes it, so
-  /// soak runs that keep scheduling don't grow memory without bound).
+  /// Consumed-prefix compaction threshold for the pending-injection vector.
+  /// Once pending_head_ passes it, run_until erases the prefix below both
+  /// pending_head_ and the oldest in-flight pass that still reads pending_,
+  /// provided that prefix is at least half the vector — passes in flight or
+  /// not, so a caller that streams slices and runs to each slice's last
+  /// arrival doesn't grow memory without bound. Invariant at every run
+  /// boundary: pending_.size() < one threshold + twice the live backlog
+  /// (unconsumed injections plus pending-sourced passes in flight), which
+  /// also keeps PassEntry::idx inside int32 on an endless stream.
   static constexpr std::size_t kPendingCompactThreshold = 4096;
   /// Capacity of the pending-injection vector plus the pipeline-pass FIFO
-  /// (regression surface for the compaction: bounded across schedule/drain
-  /// cycles, tracking the live backlog rather than total injections).
+  /// (regression surface for the compaction: bounded across schedule/run
+  /// cycles, drained or streaming, tracking the live backlog rather than
+  /// total injections).
   [[nodiscard]] std::size_t pending_footprint() const {
     return pending_.capacity() + pass_q_.capacity();
   }
@@ -250,11 +257,11 @@ class Replica {
   /// order, so the records are (t, seq)-sorted by construction — a FIFO
   /// with O(1) pops instead of two heap sifts per packet, and the run of
   /// same-timestamp passes is what one run_batch call drains. The record
-  /// holds an
-  /// *index* into the packet's existing storage (the consumed pending_
-  /// prefix, or a pool_ slot kept allocated until the drain) rather than a
-  /// copy: both stay put for the entry's whole lifetime — pending_ is only
-  /// compacted when no live pass references it, and pool_ slots are
+  /// holds an *index* into the packet's existing storage (the consumed
+  /// pending_ prefix, or a pool_ slot kept allocated until the drain)
+  /// rather than a copy. Both outlive the entry: compact_pending erases
+  /// only the pending_ prefix below the oldest live pending-sourced pass
+  /// and rebases the live indices by the erased count, and pool_ slots are
   /// addressed by index so slab growth can't dangle them.
   struct PassEntry {
     sim::Time t = 0;

@@ -333,6 +333,66 @@ TEST(NativeReplica, PendingFootprintBoundedOverMillionInjections) {
   EXPECT_LT(high_water, static_cast<std::size_t>(4 * kPerCycle));
 }
 
+// A streaming caller runs only to each slice's last arrival, so the last
+// burst's pipeline passes are still in flight at every boundary and the
+// pending vector must compact under live pass indices. The interpreter is
+// fed the same slices in the same order, one run_until per slice, which
+// pins the rebased indices: a stale one would execute the wrong packet.
+TEST(NativeReplica, PendingCompactsWhilePassesInFlight) {
+  const auto prog = build_app("SFW");  // recirculates: pool-sourced passes
+  ASSERT_NE(prog, nullptr);
+  constexpr int kSlice = 4096;
+  constexpr int kSlices = 24;
+  constexpr int kBurst = 32;
+  for (const bool burst : {true, false}) {
+    SCOPED_TRACE(burst ? "burst" : "trickle");
+    const diff::Schedule plan =
+        burst ? diff::make_burst_schedule(prog->ir(), 5,
+                                          kSlices * kSlice / kBurst, kBurst)
+              : diff::make_schedule(prog->ir(), 5, kSlices * kSlice);
+    // The timer seeds ride in the first slice, as in perfbench.
+    const std::size_t timers = plan.entries.size() - kSlices * kSlice;
+
+    ReplicaConfig rcfg;
+    rcfg.switch_cfg.id = 1;  // the interpreter's single node
+    Replica rep(prog, rcfg);
+    interp::TestbedConfig icfg;
+    icfg.program_name = "SFW";
+    icfg.switch_ids = {1};
+    interp::Testbed tb(apps::app("SFW").source, icfg);
+    ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+    interp::Runtime& rt = tb.node(1);
+
+    std::size_t high_water = 0;
+    std::size_t next = 0;
+    for (int s = 0; s < kSlices; ++s) {
+      const std::size_t end =
+          timers + static_cast<std::size_t>(s + 1) * kSlice;
+      for (; next < end; ++next) {
+        const diff::Injection& e = plan.entries[next];
+        ASSERT_TRUE(rep.schedule_inject(e.t, e.event, e.args)) << e.event;
+        tb.sim().at(e.t, [&rt, &e] { rt.inject(e.event, e.args); });
+      }
+      const sim::Time last = plan.entries[end - 1].t;
+      rep.run_until(last);
+      tb.sim().run_until(last);
+      high_water = std::max(high_water, rep.pending_footprint());
+    }
+    // The regression: the consumed prefix is erased under in-flight passes,
+    // so the footprint tracks one slice, not the ~100k-injection stream.
+    EXPECT_LT(high_water, static_cast<std::size_t>(4 * kSlice));
+
+    // Drain the last slice's in-flight passes (indices rebased at the last
+    // boundary) on both engines, then compare everything observable.
+    rep.run_until(plan.horizon);
+    tb.sim().run_until(plan.horizon);
+    const diff::EngineResult got = diff::snapshot(rep);
+    EXPECT_EQ(diff::compare(prog->ir(), diff::snapshot(tb), got), "");
+    EXPECT_GE(got.executed, static_cast<std::uint64_t>(kSlices) * kSlice);
+    EXPECT_GT(got.recirculations, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sharded fleet: the per-shard differential-state contract
 // ---------------------------------------------------------------------------
