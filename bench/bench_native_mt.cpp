@@ -5,8 +5,8 @@
 //
 //   (a) State: per-shard register state from a fleet run must be
 //       byte-identical to a single-threaded Replica run of that shard's
-//       injection subsequence (re-derived here with ReplicaFleet::route,
-//       independently of the fleet's own partitioning). Checked on every
+//       injection subsequence (re-derived here with ReplicaFleet::route_of
+//       and replayed on separate replicas). Checked on every
 //       app. The same rows also pin the single-replica loop against the
 //       reference interpreter on the burst schedules the timing uses.
 //
@@ -123,7 +123,7 @@ double loop_sample(const std::shared_ptr<const native::Program>& prog,
 }
 
 /// Gate (a): run the schedule through a fleet, then re-derive each shard's
-/// injection subsequence with the public routing hash and replay it on a
+/// injection subsequence with the fleet's routing and replay it on a
 /// plain single-threaded Replica. Every shard's register slab must match
 /// byte for byte, and the merged pass count must equal the references' sum.
 std::string check_fleet_state(
@@ -144,10 +144,9 @@ std::string check_fleet_state(
   for (int s = 0; s < shards; ++s) {
     native::Replica ref(prog, native::ReplicaConfig{});
     for (const auto& e : sched.entries) {
-      const ir::EventInfo* ev = prog->find_event(e.event);
-      const std::size_t dest = native::ReplicaFleet::route(
-          shards, /*location=*/-1, ev->event_id, e.args);
-      if (dest != static_cast<std::size_t>(s)) continue;
+      if (fleet.route_of(e.event, e.args) != static_cast<std::size_t>(s)) {
+        continue;
+      }
       if (!ref.schedule_inject(e.t, e.event, e.args)) {
         return "reference rejected event " + e.event;
       }

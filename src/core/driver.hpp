@@ -98,8 +98,8 @@ struct StageRecord {
   /// top-level decls this stage served from the previous compilation
   /// instead of recomputing. For Parse that is decl nodes spliced from the
   /// previous AST by the span diff (frontend::incremental_parse); for Sema,
-  /// decls whose body check was skipped (annotations mirror-copied) plus
-  /// header-only decls the diff proved unchanged; for Lower, spliced handler
+  /// spliced decls whose body check was skipped plus spliced header-only
+  /// decls the diff proved unchanged; for Lower, spliced handler
   /// graphs; for Layout, handlers whose Phase A artifacts were carried over
   /// by opt::update_layout_analysis. 0 for cold compiles and plain clones.
   int decls_reused = 0;

@@ -10,7 +10,7 @@
 // layout and emission work fans out across a worker pool with no shared
 // mutable state.
 //
-// Grid specs (the CLI's --sweep=<grid-spec>) are cross products over
+// Grid specs (the CLI's `lucidc sweep GRID`) are cross products over
 // resource-model fields:
 //
 //   stages=8,12;salus=2,4     -> 4 variants
@@ -115,7 +115,7 @@ struct SweepOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Auto-fitting (the CLI's --fit=<fit-spec>)
+// Auto-fitting (the CLI's `lucidc fit SPEC`)
 // ---------------------------------------------------------------------------
 
 /// A fit spec is a sweep grid where exactly one dimension is a *range*

@@ -403,16 +403,4 @@ struct Program {
 // recompile path uses this to un-share a spliced decl before sema mutates it.
 [[nodiscard]] DeclPtr clone_decl(const Decl& d);
 
-// Annotation mirroring: copy every sema annotation (expression types,
-// resolved call kinds, VarRef resolution flags, const/size/id resolutions)
-// from one tree onto a structurally identical one, in lockstep. This is how
-// the incremental recompile pipeline re-annotates a freshly parsed decl that
-// the structural diff proved unchanged, without re-running sema on its body.
-// Returns false (leaving the target partially annotated) on any structural
-// mismatch — callers treat that as "re-check the decl from scratch".
-[[nodiscard]] bool copy_annotations(const Expr& from, Expr& to);
-[[nodiscard]] bool copy_annotations(const Stmt& from, Stmt& to);
-[[nodiscard]] bool copy_annotations(const Block& from, Block& to);
-[[nodiscard]] bool copy_annotations(const Decl& from, Decl& to);
-
 }  // namespace lucid::frontend

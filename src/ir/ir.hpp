@@ -230,7 +230,6 @@ struct ProgramIR {
 
   [[nodiscard]] const ArrayInfo* find_array(std::string_view name) const;
   [[nodiscard]] const MemopInfo* find_memop(std::string_view name) const;
-  [[nodiscard]] int max_handler_longest_path() const;
   /// The paper's "unoptimized stage count" (Fig 12 numerator): without
   /// branch inlining, reordering, or merging, every atomic table needs its
   /// own stage and handlers occupy disjoint stage ranges, so the longest

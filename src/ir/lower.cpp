@@ -180,12 +180,6 @@ const MemopInfo* ProgramIR::find_memop(std::string_view name) const {
                                  : &memops[static_cast<std::size_t>(it->second)];
 }
 
-int ProgramIR::max_handler_longest_path() const {
-  int best = 0;
-  for (const auto& h : handlers) best = std::max(best, h.longest_path());
-  return best;
-}
-
 int ProgramIR::total_longest_path() const {
   int total = 0;
   for (const auto& h : handlers) total += h.longest_path();

@@ -1,7 +1,7 @@
 // Backend adapter for the native execution engine: "native" in the backend
 // registry. emit() renders the generated C++ module (the artifact text) and
 // JIT-compiles it as a smoke test, reporting codegen and compile metrics —
-// actually *running* the program goes through native::Runtime / Replica
+// actually *running* the program goes through native::Replica
 // (src/native/engine.hpp).
 #pragma once
 

@@ -6,7 +6,8 @@
 // and evaluation rule below therefore names the interpreter rule it mirrors:
 //
 //   - all values are int64_t; locals zero-init per packet (Frame defaults);
-//   - handler params mask to declared widths on entry (Runtime::execute);
+//   - handler params mask to declared widths on entry
+//     (interp::Runtime::execute);
 //   - binary-op results mask to the expression width (eval/Binary), with
 //     Div/Mod-by-zero yielding 0 and shifts masked to 6 bits (binop_eval);
 //     add/sub/mul/shl run in uint64 so signed overflow stays wrap-around;

@@ -8,46 +8,7 @@
 
 namespace lucid::native {
 
-namespace {
-
 using support::mask_width;
-
-/// Shared by Runtime and Replica: validate an injected event against the IR
-/// declaration and mask args to their param widths (EventCtor semantics).
-const ir::EventInfo* validate_event(const ir::ProgramIR& ir,
-                                    const std::string& name,
-                                    std::vector<std::int64_t>& args) {
-  // ABI hard cap, checked before the declaration walk: the fixed args[]
-  // slabs (RPacket, PacketIn) hold kMaxArgs words, so an over-arity
-  // injection must be rejected, never truncated. Program::build refuses
-  // events declared wider, but injection is caller input — same reject
-  // semantics as Runtime::inject on an arity mismatch.
-  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return nullptr;
-  for (const auto& ev : ir.events) {
-    if (ev.name != name) continue;
-    if (args.size() != ev.params.size()) return nullptr;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      args[i] = mask_width(args[i], ev.params[i].second);
-    }
-    return &ev;
-  }
-  return nullptr;
-}
-
-void build_run_stats(const ir::ProgramIR& ir,
-                     const std::vector<std::uint64_t>& execs,
-                     const std::vector<std::uint64_t>& gens,
-                     std::uint64_t total, RunStats* out) {
-  out->executions.clear();
-  out->generated.clear();
-  out->total_executions = total;
-  for (std::size_t id = 0; id < ir.events.size(); ++id) {
-    if (execs[id] != 0) out->executions[ir.events[id].name] = execs[id];
-    if (gens[id] != 0) out->generated[ir.events[id].name] = gens[id];
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Program
@@ -89,117 +50,24 @@ const ir::EventInfo* Program::find_event(const std::string& name) const {
   return nullptr;
 }
 
-// ---------------------------------------------------------------------------
-// Runtime (coupled)
-// ---------------------------------------------------------------------------
-
-Runtime::Runtime(std::shared_ptr<const Program> prog,
-                 sched::EventScheduler& node)
-    : prog_(std::move(prog)), node_(node) {
-  const ir::ProgramIR& ir = prog_->ir();
-  for (const auto& arr : ir.arrays) {
-    node_.node().add_array(arr.name, arr.width, arr.size);
+const ir::EventInfo* Program::validate_event(
+    const std::string& name, std::vector<std::int64_t>& args) const {
+  // ABI hard cap, checked before the declaration walk: the fixed args[]
+  // slabs (RPacket, PacketIn) hold kMaxArgs words, so an over-arity
+  // injection must be rejected, never truncated. Program::build refuses
+  // events declared wider, but injection is caller input — same reject
+  // semantics as an arity mismatch.
+  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return nullptr;
+  const ir::EventInfo* ev = find_event(name);
+  if (ev == nullptr || args.size() != ev->params.size()) return nullptr;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    args[i] = mask_width(args[i], ev->params[i].second);
   }
-  // Cache raw cell pointers only after every array exists: add_array may
-  // replace entries, but never moves others (std::map nodes are stable).
-  array_ptrs_.reserve(ir.arrays.size());
-  for (const auto& arr : ir.arrays) {
-    array_ptrs_.push_back(node_.node().find_array(arr.name)->data());
-  }
-  gen_buf_.resize(
-      static_cast<std::size_t>(std::max<std::int32_t>(
-          prog_->module().max_gens(), 1)));
-  has_handler_by_id_.assign(ir.events.size(), 0);
-  exec_count_by_id_.assign(ir.events.size(), 0);
-  gen_count_by_id_.assign(ir.events.size(), 0);
-  for (const auto& ev : ir.events) {
-    if (ev.has_handler) {
-      has_handler_by_id_[static_cast<std::size_t>(ev.event_id)] = 1;
-    }
-  }
-  node_.set_execute([this](const pisa::Packet& p) { execute(p); });
-}
-
-bool Runtime::make_event(const std::string& event,
-                         std::vector<std::int64_t>& args,
-                         sched::GenEvent* out) const {
-  const ir::EventInfo* ev = validate_event(prog_->ir(), event, args);
-  if (ev == nullptr) return false;
-  out->event_id = ev->event_id;
-  out->args = std::move(args);
-  return true;
-}
-
-bool Runtime::inject(const std::string& event, std::vector<std::int64_t> args,
-                     sim::Time delay_ns, std::int64_t location) {
-  sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
-  ev.location = location;
-  node_.inject(std::move(ev));
-  return true;
-}
-
-bool Runtime::inject_control(const std::string& event,
-                             std::vector<std::int64_t> args,
-                             sim::Time delay_ns) {
-  sched::GenEvent ev;
-  if (!make_event(event, args, &ev)) return false;
-  ev.delay_ns = delay_ns;
-  node_.inject_control(std::move(ev));
-  return true;
-}
-
-void Runtime::execute(const pisa::Packet& p) {
-  const auto id = static_cast<std::size_t>(p.event_id);
-  if (p.event_id < 0 || id >= has_handler_by_id_.size() ||
-      has_handler_by_id_[id] == 0) {
-    return;
-  }
-  ++total_executions_;
-  ++exec_count_by_id_[id];
-
-  PacketIn in;
-  in.event_id = p.event_id;
-  in.nargs = static_cast<std::int32_t>(
-      std::min<std::size_t>(p.args.size(), kMaxArgs));
-  in.now_ns = node_.node().sim().now();
-  in.self_id = node_.self();
-  for (std::int32_t i = 0; i < in.nargs; ++i) in.args[i] = p.args[i];
-
-  // A batch of one through the raw entry, so these per-packet calls stay
-  // out of the native batch metrics.
-  std::int32_t n = 0;
-  prog_->module().raw_run_batch()(array_ptrs_.data(), &in, 1, gen_buf_.data(),
-                                  &n);
-  const ir::ProgramIR& ir = prog_->ir();
-  for (std::int32_t g = 0; g < n; ++g) {
-    const GenOut& go = gen_buf_[static_cast<std::size_t>(g)];
-    sched::GenEvent ev;
-    ev.event_id = go.event_id;
-    ev.args.assign(go.args, go.args + go.nargs);
-    ev.delay_ns = go.delay_ns;
-    ev.location = go.location;
-    ev.multicast = go.multicast != 0;
-    if (go.group >= 0) {
-      ev.members = ir.groups[static_cast<std::size_t>(go.group)].members;
-    }
-    if (go.event_id >= 0 &&
-        static_cast<std::size_t>(go.event_id) < gen_count_by_id_.size()) {
-      ++gen_count_by_id_[static_cast<std::size_t>(go.event_id)];
-    }
-    node_.generate(std::move(ev));
-  }
-}
-
-const RunStats& Runtime::stats() const {
-  build_run_stats(prog_->ir(), exec_count_by_id_, gen_count_by_id_,
-                  total_executions_, &stats_);
-  return stats_;
+  return ev;
 }
 
 // ---------------------------------------------------------------------------
-// Replica (decoupled)
+// Replica
 // ---------------------------------------------------------------------------
 
 Replica::Replica(std::shared_ptr<const Program> prog, ReplicaConfig cfg)
@@ -274,7 +142,7 @@ void Replica::push(sim::Time t, Kind kind, const RPacket& pkt) {
 bool Replica::make_packet(const std::string& event,
                           std::vector<std::int64_t>& args,
                           RPacket* out) const {
-  const ir::EventInfo* ev = validate_event(prog_->ir(), event, args);
+  const ir::EventInfo* ev = prog_->validate_event(event, args);
   if (ev == nullptr) return false;
   out->event_id = ev->event_id;
   out->nargs = static_cast<std::int32_t>(args.size());
@@ -686,8 +554,18 @@ std::int64_t Replica::control_read(std::size_t decl_index,
 }
 
 const RunStats& Replica::run_stats() const {
-  build_run_stats(prog_->ir(), exec_count_by_id_, gen_count_by_id_,
-                  total_executions_, &run_stats_);
+  const ir::ProgramIR& ir = prog_->ir();
+  run_stats_.executions.clear();
+  run_stats_.generated.clear();
+  run_stats_.total_executions = total_executions_;
+  for (std::size_t id = 0; id < ir.events.size(); ++id) {
+    if (exec_count_by_id_[id] != 0) {
+      run_stats_.executions[ir.events[id].name] = exec_count_by_id_[id];
+    }
+    if (gen_count_by_id_[id] != 0) {
+      run_stats_.generated[ir.events[id].name] = gen_count_by_id_[id];
+    }
+  }
   return run_stats_;
 }
 

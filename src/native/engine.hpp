@@ -1,24 +1,18 @@
 // The native execution engine: runs a compiled-to-C++ pipeline module
 // (src/native/emit.cpp + src/native/jit.cpp) instead of walking the AST.
 //
-// Two hosts share one loaded Program:
-//
-//   - native::Runtime couples the module to a sched::EventScheduler exactly
-//     like interp::Runtime does — register arrays live in the switch, events
-//     flow through the full simulator, control-plane apply points fire at
-//     the same boundaries. A drop-in engine swap for Testbed-style setups
-//     (src/ctrl/native_bridge.hpp builds the control-plane surface on it).
-//
-//   - native::Replica is the decoupled fast path: a single-node mirror of
-//     the switch + scheduler + PFC timing model with POD packets and no
-//     std::function in the hot loop. Its one event loop merges pending
-//     injections, a pipeline-pass FIFO and a small (time, seq) heap, and
-//     drains each run of same-timestamp passes through one run_batch call.
-//     It reproduces the simulator's event interleaving exactly (see the
-//     seq-order contract at Replica below), so after a run its register
-//     state is byte-identical to an interp::Runtime run of the same
-//     schedule — the differential suite (tests/test_native.cpp) and
-//     bench_native both pin this.
+// native::Replica hosts the loaded Program: a single-node mirror of the
+// switch + scheduler + PFC timing model with POD packets and no
+// std::function in the hot loop. Its one event loop merges pending
+// injections, a pipeline-pass FIFO and a small (time, seq) heap, and drains
+// each run of same-timestamp passes through one run_batch call. It
+// reproduces the simulator's event interleaving exactly (see the seq-order
+// contract at Replica below), so after a run its register state is
+// byte-identical to an interp::Runtime run of the same schedule — the
+// differential suite (tests/test_native.cpp) and bench_native both pin
+// this. native::ReplicaFleet (fleet.hpp) shards injections over several
+// replicas; ctrl::FleetDataPlane (src/ctrl/native_bridge.hpp) is the
+// control-plane surface over a fleet.
 //
 // Program::build emits one module per compilation (emit.hpp) and loads it
 // through the JIT's module cache (jit.hpp).
@@ -55,7 +49,7 @@ struct RunStats {
 
 /// A program compiled for native execution: the emitted module source plus
 /// the loaded shared object. Immutable after build; share it across every
-/// Runtime/Replica of the same program (the JIT caches by source anyway).
+/// Replica of the same program (the JIT caches by source anyway).
 class Program {
  public:
   /// Compiles `comp` (Layout stage must have succeeded) to native code.
@@ -71,6 +65,12 @@ class Program {
   [[nodiscard]] const EmittedModule& emitted() const { return emitted_; }
 
   [[nodiscard]] const ir::EventInfo* find_event(const std::string& name) const;
+  /// Validates an injection against the event's declaration and masks
+  /// `args` in place to the declared param widths (EventCtor semantics).
+  /// nullptr on an unknown event, an arity mismatch or more than kMaxArgs
+  /// args; `args` is then left unmasked.
+  [[nodiscard]] const ir::EventInfo* validate_event(
+      const std::string& name, std::vector<std::int64_t>& args) const;
 
  private:
   ConstCompilationPtr comp_;
@@ -79,54 +79,7 @@ class Program {
 };
 
 // ---------------------------------------------------------------------------
-// Coupled engine: the interp::Runtime drop-in
-// ---------------------------------------------------------------------------
-
-class Runtime {
- public:
-  /// Creates the program's register arrays in the scheduler's switch and
-  /// installs the module as the handler executor.
-  Runtime(std::shared_ptr<const Program> prog, sched::EventScheduler& node);
-
-  [[nodiscard]] const Program& program() const { return *prog_; }
-
-  /// Same contract as interp::Runtime::inject / inject_control: false (and
-  /// nothing injected) on unknown event or arity mismatch; args masked to
-  /// their declared widths.
-  bool inject(const std::string& event, std::vector<std::int64_t> args,
-              sim::Time delay_ns = 0, std::int64_t location = -1);
-  bool inject_control(const std::string& event,
-                      std::vector<std::int64_t> args, sim::Time delay_ns = 0);
-
-  [[nodiscard]] const ir::EventInfo* find_event(
-      const std::string& name) const {
-    return prog_->find_event(name);
-  }
-  [[nodiscard]] pisa::RegisterArray* array(const std::string& name) {
-    return node_.node().find_array(name);
-  }
-
-  [[nodiscard]] const RunStats& stats() const;
-  [[nodiscard]] sched::EventScheduler& node() { return node_; }
-
- private:
-  void execute(const pisa::Packet& p);
-  bool make_event(const std::string& event, std::vector<std::int64_t>& args,
-                  sched::GenEvent* out) const;
-
-  std::shared_ptr<const Program> prog_;
-  sched::EventScheduler& node_;
-  std::vector<std::int64_t*> array_ptrs_;  // IR declaration order
-  std::vector<GenOut> gen_buf_;
-  std::vector<char> has_handler_by_id_;
-  std::vector<std::uint64_t> exec_count_by_id_;
-  std::vector<std::uint64_t> gen_count_by_id_;
-  std::uint64_t total_executions_ = 0;
-  mutable RunStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Decoupled engine: the single-node replica
+// The single-node replica
 // ---------------------------------------------------------------------------
 
 struct ReplicaConfig {
@@ -166,7 +119,8 @@ class Replica {
                    ReplicaConfig cfg = {});
 
   /// Registers an external arrival at absolute time `t`. Validates and
-  /// width-masks like Runtime::inject; false on unknown event / bad arity.
+  /// width-masks through Program::validate_event; false on unknown event /
+  /// bad arity.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1);

@@ -4,9 +4,9 @@
 // slab, scheduler clock, packet pool, and PFC stream. Injections are
 // partitioned across shards at schedule_inject time by a *stable* hash of
 // the flow identity (destination location when the injection carries one,
-// otherwise event id + argument words), so a given flow always lands on the
-// same shard and every shard observes a deterministic subsequence of the
-// overall schedule.
+// otherwise event id + argument words masked to their declared widths), so
+// a given flow always lands on the same shard and every shard observes a
+// deterministic subsequence of the overall schedule.
 //
 // Correctness model (the per-shard differential-state contract): because
 // shards share no mutable state, running shard s inside the fleet is
@@ -74,8 +74,8 @@ class ReplicaFleet {
   }
 
   /// The stable routing hash: location-keyed when the injection is
-  /// addressed (>= 0), flow-keyed (event id + args) otherwise. Exposed so
-  /// tests and benches can re-derive per-shard subsequences independently.
+  /// addressed (>= 0), flow-keyed (event id + args) otherwise. `args` must
+  /// already be width-masked; route_of does that for raw injections.
   [[nodiscard]] static std::size_t route(int shards, std::int64_t location,
                                          std::int32_t event_id,
                                          const std::vector<std::int64_t>&
@@ -91,22 +91,25 @@ class ReplicaFleet {
            static_cast<std::size_t>(shards < 1 ? 1 : shards);
   }
 
-  /// The shard an injection would land on (validation-free preview).
+  /// The shard schedule_inject would route this injection to, so tests and
+  /// benches can re-derive per-shard subsequences independently. An invalid
+  /// injection (which schedule_inject rejects) hashes its raw args.
   [[nodiscard]] std::size_t route_of(const std::string& event,
-                                     const std::vector<std::int64_t>& args,
+                                     std::vector<std::int64_t> args,
                                      std::int64_t location = -1) const {
-    const ir::EventInfo* ev = prog_->find_event(event);
+    const ir::EventInfo* ev = prog_->validate_event(event, args);
     return route(shards(), location, ev != nullptr ? ev->event_id : -1,
                  args);
   }
 
   /// Routes and registers an external arrival; same validation contract as
-  /// Replica::schedule_inject (false on unknown event / bad arity, args
-  /// width-masked by the shard).
+  /// Replica::schedule_inject (false on unknown event / bad arity). Args
+  /// are width-masked before routing, so injections that are the same
+  /// packet land on the same shard.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1) {
-    const ir::EventInfo* ev = prog_->find_event(event);
+    const ir::EventInfo* ev = prog_->validate_event(event, args);
     if (ev == nullptr) return false;
     const std::size_t s = route(shards(), location, ev->event_id, args);
     return shards_[s]->schedule_inject(t, event, std::move(args), delay_ns,

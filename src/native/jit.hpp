@@ -78,7 +78,7 @@ enum class Origin {
 
 /// A loaded module. Holds the dlopen handle open for the process lifetime
 /// (handles are shared via the cache and never dlclosed — generated code may
-/// be referenced by long-lived Runtime objects).
+/// be referenced by long-lived Replica objects).
 class Module {
  public:
   /// Loads the module for `source` from the cache, compiling it on a miss;
@@ -100,7 +100,7 @@ class Module {
 
   /// The raw generated entry point, with no instrumentation at all —
   /// bench_obs measures its pps as the baseline for the overhead gate, and
-  /// native::Runtime runs its one-packet batches through it.
+  /// native::Replica runs its drains through it.
   [[nodiscard]] RunBatchFn raw_run_batch() const { return run_batch_; }
 
   /// Milliseconds spent in the external compiler (0 for a store hit).

@@ -16,7 +16,7 @@
 // at construction and pay only relaxed atomics per update. Snapshots render
 // to JSON (the shared support::JsonWriter path, same as `--time-passes=json`
 // and the bench files) and to the Prometheus text exposition format
-// (`lucidc --metrics-out=FILE.prom`; tools/validate_obs.py checks it).
+// (`lucidc run --metrics-out=FILE.prom`; tools/validate_obs.py checks it).
 //
 // Naming convention: `lucid_<layer>_<what>[_total|_ns|...]`, Prometheus
 // charset only ([a-zA-Z0-9_:]); the registry sanitizes anything else to '_'.

@@ -22,11 +22,11 @@
 //                reads an edited const is dirty, even though neither the
 //                handler's nor the fun's text changed).
 //
-// Everything not dirty is safe to reuse: its sema annotations can be
-// mirror-copied from the previous AST (frontend::copy_annotations) and its
-// lowered HandlerGraph spliced from the previous IR, producing artifacts
-// byte-identical to a cold compile (differential-tested across the paper
-// apps in tests/test_incremental.cpp).
+// Everything not dirty is safe to reuse: a spliced decl keeps the sema
+// annotations it already carries (a clean decl parsed afresh is re-checked),
+// and its lowered HandlerGraph is spliced from the previous IR, producing
+// artifacts byte-identical to a cold compile (differential-tested across
+// the paper apps in tests/test_incremental.cpp).
 #pragma once
 
 #include <cstddef>

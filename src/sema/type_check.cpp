@@ -186,9 +186,9 @@ class Checker {
   std::map<std::string, EventDecl*> events_;
   std::map<std::string, HandlerDecl*> handlers_;
 
-  // Incremental reuse (see SemaReuse): decls whose body check is skipped
-  // this run because their annotations were mirror-copied from the previous
-  // compile.
+  // Incremental reuse (see SemaReuse): spliced decls whose body check is
+  // skipped this run because they already carry the previous compile's
+  // annotations.
   const SemaReuse* reuse_ = nullptr;
   std::set<const Decl*> skip_body_;
   std::size_t decls_reused_ = 0;
@@ -305,50 +305,45 @@ void Checker::prepare_reuse() {
     const int j = reuse_->reuse_from[i];
     if (j < 0 || static_cast<std::size_t>(j) >= prev.decls.size()) continue;
     Decl& d = *program_.decls[i];
-    const Decl& p = *prev.decls[static_cast<std::size_t>(j)];
-    bool applied = false;
-    // A spliced decl IS the previous node (incremental parse shares the
-    // pointer): its annotations are already in place, so the mirror copy is
-    // skipped — copying onto itself would be a pointless self-write on a
-    // node another compilation may be reading.
-    const bool same_node = &p == &d;
+    // Only a spliced decl IS the previous node (incremental parse shares the
+    // pointer), so only it already carries prev's annotations. A decl parsed
+    // afresh — a cold-parse fallback, or a formatting edit inside it — is
+    // re-checked like a dirty one.
+    if (&d != prev.decls[static_cast<std::size_t>(j)].get()) continue;
+    bool applied = true;
     switch (d.kind) {
       case DeclKind::Memop:
-        applied = same_node || copy_annotations(p, d);
-        if (applied) skip_body_.insert(&d);
+        skip_body_.insert(&d);
         break;
       case DeclKind::Fun: {
         const auto sig = prev_info.fun_sigs.find(d.name);
         const auto fit = funs_.find(d.name);
-        if (sig != prev_info.fun_sigs.end() && fit != funs_.end() &&
-            fit->second.decl == &d && (same_node || copy_annotations(p, d))) {
+        applied = sig != prev_info.fun_sigs.end() && fit != funs_.end() &&
+                  fit->second.decl == &d;
+        if (applied) {
           fit->second.sig = sig->second;
           fit->second.checked = true;
           info_.fun_sigs[d.name] = sig->second;
           // Fresh variables allocated for re-checked decls must not collide
           // with the ones baked into reused signatures.
           bump_sig(sig->second);
-          applied = true;
         }
         break;
       }
-      case DeclKind::Handler:
-        applied = same_node || copy_annotations(p, d);
-        if (applied) {
-          skip_body_.insert(&d);
-          const auto end = prev_info.handler_end_stage.find(d.name);
-          if (end != prev_info.handler_end_stage.end()) {
-            info_.handler_end_stage[d.name] = end->second;
-          }
+      case DeclKind::Handler: {
+        skip_body_.insert(&d);
+        const auto end = prev_info.handler_end_stage.find(d.name);
+        if (end != prev_info.handler_end_stage.end()) {
+          info_.handler_end_stage[d.name] = end->second;
         }
         break;
+      }
       case DeclKind::Const:
       case DeclKind::Global:
       case DeclKind::Event:
       case DeclKind::Group:
         // Header-only decls: collect_decls/eval_consts_and_globals already
         // recomputed their annotations natively (and cheaply).
-        applied = true;
         break;
     }
     if (applied) ++decls_reused_;

@@ -34,13 +34,14 @@ struct AnalysisInfo {
 
 /// Inputs for an incremental re-check (CompilerDriver::recompile): a
 /// previously checked (annotated) program, its AnalysisInfo, and the
-/// decl-granular reuse plan (sema::plan_recompile). For every decl with
-/// `reuse_from[i] >= 0` the checker mirror-copies the previous decl's
-/// annotations (frontend::copy_annotations) and reuses its recorded effect
-/// signature / end stage instead of re-checking the body; dirty decls are
-/// checked from scratch against an environment rebuilt from all decl
-/// headers (header collection and const/size evaluation always run in
-/// full — they are cheap and keep every header annotation native).
+/// decl-granular reuse plan (sema::plan_recompile). A decl with
+/// `reuse_from[i] >= 0` that incremental parse spliced (it is the previous
+/// node, annotations and all) keeps its recorded effect signature / end
+/// stage instead of re-checking the body. Every other decl — dirty, or
+/// clean but parsed afresh — is checked from scratch against an environment
+/// rebuilt from all decl headers (header collection and const/size
+/// evaluation always run in full — they are cheap and keep every header
+/// annotation native).
 struct SemaReuse {
   const frontend::Program* prev = nullptr;
   const AnalysisInfo* prev_info = nullptr;

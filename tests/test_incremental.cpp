@@ -472,6 +472,59 @@ TEST(Recompile, OneHandlerEditMatchesColdByteForByte) {
   }
 }
 
+TEST(Recompile, ReformattedHandlerBesideARealEditIsRecheckedAndMatchesCold) {
+  // One recompile, two edited spans: `tick` is reformatted inside its body
+  // (parsed afresh, but structurally unchanged, so the plan keeps it clean)
+  // and `tock` gets a real edit.
+  const std::string prev_src = kChain;
+  std::string edited = prev_src;
+  const std::string tick =
+      "handle tick(int i) { Array.set(a, i & MASK, plus, bump(i)); }";
+  const std::string tock_body = "Array.set(b, i & MASK, plus, 1);";
+  ASSERT_NE(edited.find(tick), std::string::npos);
+  edited.replace(edited.find(tick), tick.size(),
+                 "handle tick(int i) {\n  // reformatted\n"
+                 "  Array.set(a,  i & MASK,\n            plus, bump(i));\n}");
+  ASSERT_NE(edited.find(tock_body), std::string::npos);
+  edited.replace(edited.find(tock_body), tock_body.size(),
+                 "Array.set(b, i & MASK, plus, 2);");
+
+  const CompilerDriver driver(DriverOptions{}, &test_registry());
+  const CompilationPtr prev = driver.run(prev_src, Stage::Layout);
+  ASSERT_TRUE(prev->ok()) << prev->diags().render();
+  const CompilationPtr rec = driver.recompile(prev, edited);
+  ASSERT_TRUE(driver.run_until(rec, Stage::Layout)) << rec->diags().render();
+  const CompilationPtr cold = driver.run(edited, Stage::Layout);
+  ASSERT_TRUE(cold->ok()) << cold->diags().render();
+
+  // `tick` was re-parsed, not spliced; the untouched decls were spliced.
+  const auto& now = rec->ast().decls;
+  const auto& before = prev->ast().decls;
+  ASSERT_EQ(now.size(), before.size());
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    const bool edited_decl = now[i]->kind == DeclKind::Handler &&
+                             (now[i]->name == "tick" || now[i]->name == "tock");
+    EXPECT_EQ(now[i].get() == before[i].get(), !edited_decl) << now[i]->name;
+  }
+  // The plan keeps `tick` clean but Sema re-checks it: only the spliced
+  // decls count as reused. Lower still splices tick's unchanged graph.
+  EXPECT_EQ(rec->record(Stage::Sema).decls_reused,
+            static_cast<int>(now.size()) - 2);
+  EXPECT_EQ(rec->record(Stage::Lower).decls_reused, 1);
+
+  // Incremental ≡ cold: diagnostics, IR, layout and emitted p4.
+  EXPECT_EQ(diag_transcript(*cold), diag_transcript(*rec));
+  ASSERT_EQ(cold->ir().handlers.size(), rec->ir().handlers.size());
+  for (std::size_t h = 0; h < cold->ir().handlers.size(); ++h) {
+    EXPECT_EQ(cold->ir().handlers[h].str(), rec->ir().handlers[h].str());
+  }
+  EXPECT_EQ(cold->pipeline().str(), rec->pipeline().str());
+  const BackendArtifact a = driver.emit(cold, "p4");
+  const BackendArtifact b = driver.emit(rec, "p4");
+  ASSERT_TRUE(a.ok && b.ok);
+  EXPECT_EQ(a.text, b.text);
+}
+
 TEST(Plan, DeletedEventWithSurvivingHandlerDirtiesTheHandler) {
   // Regression: deletion is judged per (kind, name), not per name. Deleting
   // an event whose same-named handler survives leaves the *name* present,

@@ -4,7 +4,7 @@
 // compiler spawn (src/support/process.hpp), and the link contract of a
 // stored module (three ABI v2 symbols, no DT_NEEDED, libc from the host).
 //
-// Cross-process cases drive the real `lucidc --native-demo` through
+// Cross-process cases drive the real `lucidc run` through
 // `env TMPDIR=... lucidc ...` — an argv, no shell — on a fresh $TMPDIR per
 // test, and read the JIT counters from its --metrics-out snapshot.
 #include <gtest/gtest.h>
@@ -157,7 +157,7 @@ class JitStore : public ::testing::Test {
     return tmpdir + "/lucid-jit-cache-" + std::to_string(::geteuid());
   }
 
-  /// `lucidc --native-demo` on the rate-meter example with $TMPDIR set to
+  /// `lucidc run` on the rate-meter example with $TMPDIR set to
   /// `tmpdir`, writing its metrics snapshot to `prom`.
   [[nodiscard]] static ProcessResult demo(const std::string& tmpdir,
                                           const std::string& prom,
@@ -165,7 +165,7 @@ class JitStore : public ::testing::Test {
     std::vector<std::string> argv = {"env", "TMPDIR=" + tmpdir};
     argv.insert(argv.end(), env.begin(), env.end());
     argv.insert(argv.end(),
-                {LUCIDC_PATH, "--native-demo", "--metrics-out=" + prom,
+                {LUCIDC_PATH, "run", "--metrics-out=" + prom,
                  std::string(LUCID_SOURCE_DIR) + "/examples/rate_meter.lucid"});
     return run_process(argv, kChildTimeout);
   }

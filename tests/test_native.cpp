@@ -4,16 +4,15 @@
 // native engine must leave register state *byte-identical* to the reference
 // interpreter — every cell of every array, every per-event execution and
 // generate count, every scheduler counter. These tests pin that contract on
-// all ten paper applications with randomized traffic, pin one n-packet
-// run_batch against n one-packet calls, pin the coupled Runtime inside a
-// real multi-node fabric, and pin the control-plane adapter
-// (ctrl::NativeDataPlane) against the interp one.
+// all ten paper applications with randomized traffic, and pin one n-packet
+// run_batch against n one-packet calls.
 //
 // The sharded fleet extends the contract per shard (see tests/README.md):
 // each ReplicaFleet shard must be byte-identical to a single-threaded
 // Replica run of that shard's injection subsequence, at every shard count —
-// plus bounded-footprint, tie-break-boundary, and live-control-plane
-// (TSan-labeled) coverage for the batched event loop.
+// plus width-masked routing, bounded-footprint, tie-break-boundary, and
+// live-control-plane (TSan-labeled, through ctrl::FleetDataPlane) coverage
+// for the batched event loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,22 +25,25 @@
 #include "core/backends.hpp"
 #include "ctrl/native_bridge.hpp"
 #include "native/differential.hpp"
-#include "net/network.hpp"
+#include "support/bits.hpp"
 
 namespace lucid::native {
 namespace {
 
-std::shared_ptr<const Program> build_app(const std::string& key,
-                                         CompilationPtr* comp_out = nullptr) {
+std::shared_ptr<const Program> build_source(const std::string& source,
+                                            const std::string& name) {
   interp::TestbedConfig cfg;
-  cfg.program_name = key;
-  interp::Testbed tb(apps::app(key).source, cfg);
+  cfg.program_name = name;
+  interp::Testbed tb(source, cfg);
   EXPECT_TRUE(tb.ok()) << tb.diagnostics();
-  if (comp_out != nullptr) *comp_out = tb.compilation_ptr();
   std::string err;
   auto prog = Program::build(tb.compilation_ptr(), &err);
   EXPECT_NE(prog, nullptr) << err;
   return prog;
+}
+
+std::shared_ptr<const Program> build_app(const std::string& key) {
+  return build_source(apps::app(key).source, key);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,115 +154,6 @@ TEST(NativeBatch, OneBatchMatchesOnePacketBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Coupled Runtime: native engine inside the real simulator fabric
-// ---------------------------------------------------------------------------
-
-TEST(NativeRuntime, MultiNodeFabricMatchesInterpTestbed) {
-  // DFW distributes flow state across nodes via located events — the app
-  // that stresses route_out + fabric delivery the most.
-  const auto& app = apps::app("DFW");
-
-  interp::TestbedConfig ref_cfg;
-  ref_cfg.program_name = app.key;
-  ref_cfg.switch_ids = {1, 2};
-  interp::Testbed tb(app.source, ref_cfg);
-  ASSERT_TRUE(tb.ok()) << tb.diagnostics();
-
-  std::string err;
-  const auto prog = Program::build(tb.compilation_ptr(), &err);
-  ASSERT_NE(prog, nullptr) << err;
-
-  // Hand-built native twin of the two-node testbed, same construction
-  // order: switches, schedulers, runtimes, then the full-mesh fabric.
-  sim::Simulator sim;
-  net::Network net(sim);
-  pisa::SwitchConfig sw_cfg;
-  sw_cfg.id = 1;
-  pisa::Switch sw1(sim, sw_cfg);
-  sw_cfg.id = 2;
-  pisa::Switch sw2(sim, sw_cfg);
-  sched::EventScheduler sc1(sw1, sched::SchedulerConfig{});
-  sched::EventScheduler sc2(sw2, sched::SchedulerConfig{});
-  Runtime rt1(prog, sc1);
-  Runtime rt2(prog, sc2);
-  net.add_node(sc1);
-  net.add_node(sc2);
-  net.connect(1, 2, sim::kUs);
-
-  // Same injection plan on both fabrics: traffic at node 1; DFW's handlers
-  // generate located/multicast events that cross to node 2.
-  const auto plan = diff::make_schedule(prog->ir(), 7, 200);
-  interp::Runtime& ref_rt = tb.node(1);
-  for (const auto& e : plan.entries) {
-    tb.sim().after(e.t, [&ref_rt, &e] { ref_rt.inject(e.event, e.args); });
-    sim.after(e.t, [&rt1, &e] { rt1.inject(e.event, e.args); });
-  }
-  tb.sim().run_until(plan.horizon);
-  sim.run_until(plan.horizon);
-
-  for (const auto& arr : prog->ir().arrays) {
-    for (const int node : {1, 2}) {
-      pisa::RegisterArray* a = tb.switch_at(node).find_array(arr.name);
-      pisa::RegisterArray* b =
-          (node == 1 ? sw1 : sw2).find_array(arr.name);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      ASSERT_EQ(a->size(), b->size());
-      for (std::int64_t i = 0; i < a->size(); ++i) {
-        ASSERT_EQ(a->get(i), b->get(i))
-            << arr.name << "[" << i << "] at node " << node;
-      }
-    }
-  }
-  EXPECT_EQ(tb.node(1).stats().executions, rt1.stats().executions);
-  EXPECT_EQ(tb.node(2).stats().executions, rt2.stats().executions);
-  EXPECT_EQ(tb.node(1).stats().generated, rt1.stats().generated);
-  // Non-vacuity: traffic actually ran, and some of it crossed the fabric.
-  EXPECT_GT(rt1.stats().total_executions, 0u);
-  EXPECT_GT(net.delivered() + net.dropped(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Control plane over the native engine
-// ---------------------------------------------------------------------------
-
-TEST(NativeCtrl, DataPlaneAdapterDrivesNativeState) {
-  CompilationPtr comp;
-  const auto prog = build_app("SFW", &comp);
-  ASSERT_NE(prog, nullptr);
-
-  sim::Simulator sim;
-  pisa::SwitchConfig sw_cfg;
-  sw_cfg.id = 1;
-  pisa::Switch sw(sim, sw_cfg);
-  sched::EventScheduler sc(sw, sched::SchedulerConfig{});
-  Runtime rt(prog, sc);
-  ctrl::NativeControl nc(rt);
-
-  const std::string arr = prog->ir().arrays.front().name;
-  EXPECT_TRUE(nc.dataplane().has_array(arr));
-  EXPECT_FALSE(nc.dataplane().has_array("no_such_array"));
-
-  ctrl::UpdateBatch batch;
-  batch.writes.push_back(ctrl::RegWrite{arr, 3, 77});
-  ctrl::BatchResult last;
-  batch.on_done = [&last](const ctrl::BatchResult& r) { last = r; };
-  nc.plane().submit(std::move(batch));
-  EXPECT_EQ(rt.array(arr)->get(3), 0);  // decoupled until an apply point
-  nc.plane().flush();
-  EXPECT_TRUE(last.applied);
-  EXPECT_EQ(rt.array(arr)->get(3), 77);
-
-  // Native register writes behave like interp ones: masked to cell width.
-  ctrl::UpdateBatch wide;
-  wide.writes.push_back(ctrl::RegWrite{arr, 4, (std::int64_t{1} << 40) | 9});
-  nc.plane().submit(std::move(wide));
-  nc.plane().flush();
-  EXPECT_EQ(rt.array(arr)->get(4),
-            rt.array(arr)->mask((std::int64_t{1} << 40) | 9));
-}
-
-// ---------------------------------------------------------------------------
 // Injection validation and bounded footprint
 // ---------------------------------------------------------------------------
 
@@ -277,7 +170,7 @@ TEST(NativeReplica, RejectsOverArityInjection) {
   ASSERT_NE(ev, nullptr);
 
   // More args than the ABI packet can carry must be rejected up front —
-  // the same reject semantics Runtime::inject has — never truncated into
+  // the same reject semantics as an arity mismatch — never truncated into
   // the fixed args[kMaxArgs] array.
   std::vector<std::int64_t> over(static_cast<std::size_t>(kMaxArgs) + 1, 1);
   Replica rep(prog, ReplicaConfig{});
@@ -415,14 +308,11 @@ TEST(NativeFleet, ShardCountInvariance) {
     fleet.run_until(plan.horizon);
 
     // Each shard must match a single-threaded Replica run of the shard's
-    // injection subsequence, re-derived here with the public routing hash.
+    // injection subsequence, re-derived here with the fleet's routing.
     for (int s = 0; s < shards; ++s) {
       Replica ref(prog, ReplicaConfig{});
       for (const auto& e : plan.entries) {
-        const ir::EventInfo* ev = prog->find_event(e.event);
-        ASSERT_NE(ev, nullptr);
-        if (ReplicaFleet::route(shards, -1, ev->event_id, e.args) !=
-            static_cast<std::size_t>(s)) {
+        if (fleet.route_of(e.event, e.args) != static_cast<std::size_t>(s)) {
           continue;
         }
         ASSERT_TRUE(ref.schedule_inject(e.t, e.event, e.args));
@@ -458,6 +348,51 @@ TEST(NativeFleet, ShardCountInvariance) {
 // ---------------------------------------------------------------------------
 // Batched drain across a timestamp tie-break boundary
 // ---------------------------------------------------------------------------
+
+TEST(NativeFleet, RoutesOnWidthMaskedArgs) {
+  // x and x + 256 are the same packet to an 8-bit param: the handler sees
+  // both masked to x. The fleet must route them to the same shard, and so
+  // run both on the one shard that owns x's flow.
+  const auto prog = build_source(
+      "global hits = new Array<<32>>(256);\n"
+      "memop plus(int cur, int x) { return cur + x; }\n"
+      "event pkt(int<<8>> x);\n"
+      "handle pkt(int<<8>> x) { Array.set(hits, x, plus, 1); }\n",
+      "masked_route");
+  ASSERT_NE(prog, nullptr);
+
+  FleetConfig fcfg;
+  fcfg.shards = 4;
+  fcfg.label_metrics = false;
+  ReplicaFleet fleet(prog, fcfg);
+  const std::int32_t id = prog->find_event("pkt")->event_id;
+  int split = 0;  // pairs whose raw words would hash to different shards
+  for (std::int64_t x = 0; x < 64; ++x) {
+    const std::int64_t wide = x + 256;
+    if (ReplicaFleet::route(fleet.shards(), -1, id, {x}) !=
+        ReplicaFleet::route(fleet.shards(), -1, id, {wide})) {
+      ++split;
+    }
+    EXPECT_EQ(fleet.route_of("pkt", {x}), fleet.route_of("pkt", {wide}))
+        << "x=" << x;
+    ASSERT_TRUE(fleet.schedule_inject(1000 + x, "pkt", {x}));
+    ASSERT_TRUE(fleet.schedule_inject(1000 + x, "pkt", {wide}));
+  }
+  ASSERT_GT(split, 0) << "no arg pair exercises the masking";
+  fleet.run_until(sim::kMs);
+
+  const int slot = prog->ir().array_index.at("hits");
+  for (std::int64_t x = 0; x < 64; ++x) {
+    const std::size_t home = fleet.route_of("pkt", {x});
+    for (int s = 0; s < fleet.shards(); ++s) {
+      const std::int64_t want = static_cast<std::size_t>(s) == home ? 2 : 0;
+      EXPECT_EQ(fleet.shard(static_cast<std::size_t>(s))
+                    .control_read(static_cast<std::size_t>(slot), x),
+                want)
+          << "x=" << x << " shard " << s;
+    }
+  }
+}
 
 TEST(NativeBatch, DrainAcrossTimestampTieBreakBoundary) {
   // Burst gap == pipeline latency: burst b's pipeline passes finish at
@@ -523,6 +458,32 @@ TEST(NativeFleet, ControlPlaneAppliesWhileFleetRuns) {
   }
   ASSERT_NE(arr, nullptr);
   ASSERT_TRUE(dp.has_array(arr->name));
+  EXPECT_EQ(dp.array_size(arr->name), arr->size);
+  EXPECT_FALSE(dp.has_array("no_such_array"));
+  EXPECT_EQ(dp.array_size("no_such_array"), -1);
+  const int slot = prog->ir().array_index.at(arr->name);
+  const auto on_every_shard = [&](std::int64_t index, std::int64_t want) {
+    for (int s = 0; s < fleet.shards(); ++s) {
+      EXPECT_EQ(fleet.shard(static_cast<std::size_t>(s))
+                    .control_read(static_cast<std::size_t>(slot), index),
+                want)
+          << "shard " << s << " index " << index;
+    }
+  };
+
+  // A write lands on no shard before an apply point, and a write wider
+  // than the cell lands masked to the cell width on every shard.
+  const std::int64_t wide = (std::int64_t{1} << 40) | 9;
+  ctrl::UpdateBatch first;
+  first.writes.push_back(ctrl::RegWrite{arr->name, 3, 77});
+  first.writes.push_back(ctrl::RegWrite{arr->name, 4, wide});
+  plane.submit(std::move(first));
+  on_every_shard(3, 0);
+  on_every_shard(4, 0);
+  plane.flush();
+  on_every_shard(3, 77);
+  on_every_shard(4, support::mask_width(wide, arr->width));
+  ASSERT_NE(support::mask_width(wide, arr->width), wide);
 
   const auto plan = diff::make_burst_schedule(prog->ir(), 31, 40, 8);
   for (const auto& e : plan.entries) {
@@ -561,16 +522,9 @@ TEST(NativeFleet, ControlPlaneAppliesWhileFleetRuns) {
   }
   plane.submit(std::move(fin));
   plane.flush();
-  const int slot = prog->ir().array_index.at(arr->name);
   for (std::int64_t i = 0; i < 8; ++i) {
-    const std::int64_t want = i & 1;
-    EXPECT_EQ(dp.read(arr->name, i), want) << "index " << i;
-    for (int s = 0; s < fleet.shards(); ++s) {
-      EXPECT_EQ(fleet.shard(static_cast<std::size_t>(s))
-                    .control_read(static_cast<std::size_t>(slot), i),
-                want)
-          << "shard " << s << " index " << i;
-    }
+    EXPECT_EQ(dp.read(arr->name, i), i & 1) << "index " << i;
+    on_every_shard(i, i & 1);
   }
 }
 
