@@ -1,6 +1,7 @@
 // Golden-file tests for the code-generating emitters: the emitted artifact
-// for every paper app (apps::all_apps()) is checked in under tests/golden/
-// and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the eBPF/XDP C
+// for every paper app (apps::all_apps()), plus tests/golden/constructs.lucid
+// (the language constructs the apps never use), is checked in under
+// tests/golden/ and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the eBPF/XDP C
 // program as <KEY>.c and the native module source as native/<KEY>.cpp (the
 // JIT store keys on that text). Any intentional emitter change regenerates
 // them with
@@ -19,6 +20,7 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "core/sweep.hpp"
+#include "native/differential.hpp"
 #include "native/emit.hpp"
 #include "support/strings.hpp"
 
@@ -53,6 +55,34 @@ bool update_requested() {
   return env != nullptr && std::string(env) != "0" && std::string(env) != "";
 }
 
+std::string read_file(const std::string& path, bool& ok) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    ok = false;
+    return {};
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  ok = true;
+  return ss.str();
+}
+
+/// Every program with emitter goldens: the ten paper apps plus the
+/// constructs program.
+const std::vector<apps::AppSpec>& golden_programs() {
+  static const std::vector<apps::AppSpec> programs = [] {
+    std::vector<apps::AppSpec> all = apps::all_apps();
+    apps::AppSpec constructs;
+    constructs.key = "constructs";
+    bool ok = false;
+    constructs.source = read_file(
+        std::string(LUCID_SOURCE_DIR) + "/tests/golden/constructs.lucid", ok);
+    all.push_back(std::move(constructs));
+    return all;
+  }();
+  return programs;
+}
+
 std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {
   BackendRegistry registry;
   register_default_backends(registry);
@@ -71,18 +101,6 @@ std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {
   EXPECT_TRUE(artifact.ok)
       << spec.key << " via " << backend << ":\n" << comp->diags().render();
   return artifact.text;
-}
-
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
 }
 
 /// Points at the first differing line, with context, so a golden failure is
@@ -108,7 +126,7 @@ std::string first_difference(const std::string& expected,
 
 TEST(Golden, EmissionMatchesCheckedInGolden) {
   for (const GoldenSuite& suite : golden_suites()) {
-    for (const apps::AppSpec& spec : apps::all_apps()) {
+    for (const apps::AppSpec& spec : golden_programs()) {
       SCOPED_TRACE(spec.key + suite.extension);
       const std::string actual = emit_app(spec, suite.backend);
       ASSERT_FALSE(actual.empty());
@@ -131,6 +149,19 @@ TEST(Golden, EmissionMatchesCheckedInGolden) {
              "UPDATE_GOLDEN=1 ./test_golden";
     }
   }
+}
+
+TEST(Golden, ConstructsProgramInterpMatchesNative) {
+  // The constructs golden pins emitted text; this pins what the native text
+  // computes: register state and counters equal the interpreter's.
+  const apps::AppSpec& spec = golden_programs().back();
+  ASSERT_EQ(spec.key, "constructs");
+  ASSERT_FALSE(spec.source.empty());
+  const auto out = native::diff::run_differential(spec.source, spec.key,
+                                                  0xC0C0, 400);
+  EXPECT_TRUE(out.ok) << out.detail;
+  EXPECT_GT(out.interp.stats.executions.at("note"), 0u)
+      << "the guarded, located generate never fired";
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +233,7 @@ TEST(Golden, EmissionIsDeterministic) {
   // Golden files are only meaningful if emission is a pure function of the
   // compilation; two independent compiles must agree byte-for-byte.
   for (const GoldenSuite& suite : golden_suites()) {
-    for (const apps::AppSpec& spec : apps::all_apps()) {
+    for (const apps::AppSpec& spec : golden_programs()) {
       SCOPED_TRACE(spec.key + suite.extension);
       EXPECT_EQ(emit_app(spec, suite.backend), emit_app(spec, suite.backend));
     }
@@ -212,7 +243,7 @@ TEST(Golden, EmissionIsDeterministic) {
 TEST(Golden, GoldenFilesCarryRealPrograms) {
   if (update_requested()) GTEST_SKIP() << "regeneration run";
   for (const GoldenSuite& suite : golden_suites()) {
-    for (const apps::AppSpec& spec : apps::all_apps()) {
+    for (const apps::AppSpec& spec : golden_programs()) {
       SCOPED_TRACE(spec.key + suite.extension);
       bool read_ok = false;
       const std::string text =
