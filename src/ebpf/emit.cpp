@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "opt/emit_walk.hpp"
 #include "support/linewriter.hpp"
 #include "support/strings.hpp"
 
@@ -44,14 +45,9 @@ std::string wire_ty(int width) {
   return "__u64";
 }
 
-std::string sanitize(std::string name) {
-  for (auto& c : name) {
-    if (c == '.') c = '_';
-  }
-  return name;
+std::string ctx_ref(const std::string& var) {
+  return "m." + opt::sanitize(var);
 }
-
-std::string ctx_ref(const std::string& var) { return "m." + sanitize(var); }
 
 /// Wire -> host conversion of a packed field expression, by field width.
 std::string ntoh(const std::string& expr, int width) {
@@ -79,43 +75,6 @@ std::string operand_str(const Operand& o) {
   return "0";
 }
 
-std::string c_binop(frontend::BinOp op) {
-  using frontend::BinOp;
-  switch (op) {
-    case BinOp::Add: return "+";
-    case BinOp::Sub: return "-";
-    case BinOp::Mul: return "*";
-    case BinOp::Div: return "/";
-    case BinOp::Mod: return "%";
-    case BinOp::BitAnd: return "&";
-    case BinOp::BitOr: return "|";
-    case BinOp::BitXor: return "^";
-    case BinOp::Shl: return "<<";
-    case BinOp::Shr: return ">>";
-    case BinOp::Eq: return "==";
-    case BinOp::Ne: return "!=";
-    case BinOp::Lt: return "<";
-    case BinOp::Gt: return ">";
-    case BinOp::Le: return "<=";
-    case BinOp::Ge: return ">=";
-    case BinOp::LAnd: return "&&";
-    case BinOp::LOr: return "||";
-  }
-  return "+";
-}
-
-std::string cmp_str(ir::CmpOp op) {
-  switch (op) {
-    case ir::CmpOp::Eq: return "==";
-    case ir::CmpOp::Ne: return "!=";
-    case ir::CmpOp::Lt: return "<";
-    case ir::CmpOp::Gt: return ">";
-    case ir::CmpOp::Le: return "<=";
-    case ir::CmpOp::Ge: return ">=";
-  }
-  return "==";
-}
-
 /// Memop operand inside a map-update block: the canonical "cell" parameter
 /// resolves to the local single-read value, anything else to the call-site
 /// argument.
@@ -132,7 +91,8 @@ std::string memop_expr(const Operand& lhs,
                        const std::string& cell_name) {
   std::string s = memop_operand(lhs, call_arg, cell_name);
   if (op) {
-    s += " " + c_binop(*op) + " " + memop_operand(rhs, call_arg, cell_name);
+    s += " " + std::string(frontend::binop_name(*op)) + " " +
+         memop_operand(rhs, call_arg, cell_name);
   }
   return s;
 }
@@ -141,13 +101,13 @@ class Emitter {
  public:
   Emitter(const ir::ProgramIR& ir, const opt::Pipeline& pipeline,
           std::string_view name)
-      : ir_(ir), pipeline_(pipeline), name_(name) {}
+      : ir_(ir),
+        pipeline_(pipeline),
+        name_(name),
+        vars_(opt::ctx_vars(ir, pipeline)),
+        sites_(opt::generate_sites(pipeline)) {}
 
   XdpProgram run() {
-    for (const auto& [site, table] : generate_sites()) {
-      gen_site_index_[table] = site;
-    }
-    collect_vars();
     preamble();
     maps();
     headers();
@@ -163,100 +123,6 @@ class Emitter {
   }
 
  private:
-  // ---- variable collection -------------------------------------------------
-
-  void note_var(const Operand& o) {
-    if (o.is_var()) {
-      auto& w = vars_[o.var];
-      w = std::max(w, o.width);
-    }
-  }
-
-  void collect_vars() {
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* member : mt.members) {
-          const AtomicTable& t = *member;
-          switch (t.kind) {
-            case TableKind::Op: {
-              auto& w = vars_[t.op.dst];
-              w = std::max(w, t.op.width);
-              note_var(t.op.lhs);
-              note_var(t.op.rhs);
-              break;
-            }
-            case TableKind::Mem:
-              if (!t.mem.dst.empty()) {
-                auto& w = vars_[t.mem.dst];
-                w = std::max(w, t.mem.cell_width);
-              }
-              note_var(t.mem.index);
-              note_var(t.mem.get_arg);
-              note_var(t.mem.set_arg);
-              note_var(t.mem.set_value);
-              break;
-            case TableKind::Hash: {
-              auto& w = vars_[t.hash.dst];
-              w = std::max(w, 32);
-              for (const auto& a : t.hash.args) note_var(a);
-              break;
-            }
-            case TableKind::Generate:
-              for (const auto& a : t.gen.args) note_var(a);
-              note_var(t.gen.delay);
-              note_var(t.gen.location);
-              break;
-            case TableKind::Branch:
-              break;
-          }
-          for (const auto& conj : t.guards) {
-            for (const auto& test : conj) {
-              auto& w = vars_[test.var];
-              w = std::max(w, 32);
-            }
-          }
-        }
-      }
-    }
-    // Handler parameters arrive in event headers and are copied into the
-    // ctx struct by the dispatcher.
-    for (const auto& ev : ir_.events) {
-      for (const auto& [pname, pwidth] : ev.params) {
-        auto& w = vars_[pname];
-        w = std::max(w, pwidth);
-      }
-    }
-    vars_["__self"] = 32;
-    vars_["__ts"] = 32;
-  }
-
-  std::vector<std::pair<int, const AtomicTable*>> generate_sites() const {
-    std::vector<std::pair<int, const AtomicTable*>> sites;
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* t : mt.members) {
-          if (t->kind == TableKind::Generate) {
-            sites.emplace_back(n++, t);
-          }
-        }
-      }
-    }
-    return sites;
-  }
-
-  int gen_site_of(const AtomicTable* t) const {
-    const auto it = gen_site_index_.find(t);
-    return it != gen_site_index_.end() ? it->second : -1;
-  }
-
-  int event_id_of(const std::string& handler) const {
-    for (const auto& ev : ir_.events) {
-      if (ev.name == handler) return ev.event_id;
-    }
-    return -1;
-  }
-
   // ---- sections -----------------------------------------------------------
 
   void preamble() {
@@ -419,13 +285,14 @@ class Emitter {
     w_.line(LineCategory::Other, "struct lucid_ctx {");
     for (const auto& [name, width] : vars_) {
       w_.line(LineCategory::Other,
-              "    " + ctx_ty(width) + " " + sanitize(name) + ";");
+              "    " + ctx_ty(width) + " " + opt::sanitize(name) + ";");
     }
     w_.line(LineCategory::Other, "    __u32 ev_id;");
     // Per-generate-site staging: XDP cannot set headers valid mid-pipeline
     // the way Tofino does, so generated events stage their fields here and
     // the end-of-pipeline serializer rewrites the packet.
-    for (const auto& [site, t] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
+      const AtomicTable* t = sites_.tables[site];
       const std::string p = "gen" + std::to_string(site) + "_";
       w_.line(LineCategory::Other, "    __u32 " + p + "fired;");
       w_.line(LineCategory::Other, "    __u32 " + p + "delay;");
@@ -510,27 +377,6 @@ class Emitter {
 
   // ---- table lowering ------------------------------------------------------
 
-  /// The `if (...)` condition under which one atomic table executes: the
-  /// owning handler's event id AND the inlined guard disjunction.
-  std::string table_condition(const AtomicTable& t) const {
-    std::string cond = "m.ev_id == " + std::to_string(event_id_of(t.handler));
-    if (t.guards.empty()) return cond;
-    std::string dis;
-    for (std::size_t c = 0; c < t.guards.size(); ++c) {
-      if (c > 0) dis += " || ";
-      std::string conj;
-      for (std::size_t i = 0; i < t.guards[c].size(); ++i) {
-        if (i > 0) conj += " && ";
-        const ir::MatchTest& test = t.guards[c][i];
-        conj += ctx_ref(test.var) + (test.eq ? " == " : " != ") +
-                std::to_string(test.value);
-      }
-      if (t.guards[c].empty()) conj = "1";
-      dis += t.guards.size() > 1 ? "(" + conj + ")" : conj;
-    }
-    return cond + " && (" + dis + ")";
-  }
-
   void emit_memop_assign(const std::string& indent, const std::string& dst,
                          const ir::MemopInfo* mo, const Operand& call_arg,
                          const std::string& cell_name) {
@@ -539,7 +385,7 @@ class Emitter {
       w_.line(LineCategory::Handler,
               indent + "if (" +
                   memop_operand(mo->cond_lhs, call_arg, cell_name) + " " +
-                  cmp_str(mo->cond_op) + " " +
+                  std::string(ir::cmp_name(mo->cond_op)) + " " +
                   memop_operand(mo->cond_rhs, call_arg, cell_name) + ")");
       w_.line(LineCategory::Handler,
               indent + "    " + dst + " = " +
@@ -650,7 +496,8 @@ class Emitter {
                                      frontend::binop_is_logical(*t.op.op));
         std::string rhs;
         if (t.op.op) {
-          rhs = operand_str(t.op.lhs) + " " + c_binop(*t.op.op) + " " +
+          rhs = operand_str(t.op.lhs) + " " +
+                std::string(frontend::binop_name(*t.op.op)) + " " +
                 operand_str(t.op.rhs);
         } else {
           rhs = operand_str(t.op.lhs);
@@ -692,7 +539,7 @@ class Emitter {
         break;
       }
       case TableKind::Generate: {
-        const int site = gen_site_of(&t);
+        const int site = sites_.site_of(&t);
         const std::string p = "m.gen" + std::to_string(site) + "_";
         w_.line(LineCategory::Handler, indent + p + "fired = 1;");
         w_.line(LineCategory::Handler,
@@ -728,8 +575,9 @@ class Emitter {
           const AtomicTable& t = *member;
           if (t.kind == TableKind::Branch) continue;
           w_.line(LineCategory::Handler,
-                  "    if (" + table_condition(t) + ") { // " + t.handler +
-                      ": " + std::string(ir::table_kind_name(t.kind)));
+                  "    if (" + opt::table_condition(ir_, t) + ") { // " +
+                      t.handler + ": " +
+                      std::string(ir::table_kind_name(t.kind)));
           emit_table(t, "        ");
           w_.line(LineCategory::Handler, "    }");
         }
@@ -770,14 +618,14 @@ class Emitter {
   }
 
   void emit_serializer() {
-    const auto sites = generate_sites();
     w_.line(LineCategory::Control,
             "    // Serializer: recirculate the first generated event "
             "(XDP cannot");
     w_.line(LineCategory::Control,
             "    // clone; additional events would need an AF_XDP or devmap "
             "fan-out).");
-    for (const auto& [site, t] : sites) {
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
+      const AtomicTable* t = sites_.tables[site];
       const std::string p = "m.gen" + std::to_string(site) + "_";
       const auto& ev =
           ir_.events[static_cast<std::size_t>(t->gen.event_id)];
@@ -902,8 +750,8 @@ class Emitter {
   const opt::Pipeline& pipeline_;
   std::string_view name_;
   LineWriter w_;
-  std::map<std::string, int> vars_;  // ctx fields: name -> width
-  std::map<const AtomicTable*, int> gen_site_index_;
+  const std::map<std::string, int> vars_;  // ctx fields: name -> width
+  const opt::GenerateSites sites_;
 };
 
 }  // namespace

@@ -75,13 +75,6 @@ const Decl* Program::find(std::string_view name, DeclKind kind) const {
   return nullptr;
 }
 
-Decl* Program::find(std::string_view name, DeclKind kind) {
-  for (auto& d : decls) {
-    if (d->kind == kind && d->name == name) return d.get();
-  }
-  return nullptr;
-}
-
 const EventDecl* Program::find_event(std::string_view name) const {
   const Decl* d = find(name, DeclKind::Event);
   return d ? d->as<EventDecl>() : nullptr;
@@ -89,10 +82,6 @@ const EventDecl* Program::find_event(std::string_view name) const {
 const HandlerDecl* Program::find_handler(std::string_view name) const {
   const Decl* d = find(name, DeclKind::Handler);
   return d ? d->as<HandlerDecl>() : nullptr;
-}
-const MemopDecl* Program::find_memop(std::string_view name) const {
-  const Decl* d = find(name, DeclKind::Memop);
-  return d ? d->as<MemopDecl>() : nullptr;
 }
 const FunDecl* Program::find_fun(std::string_view name) const {
   const Decl* d = find(name, DeclKind::Fun);

@@ -380,11 +380,9 @@ struct Program {
   std::vector<DeclPtr> decls;
 
   [[nodiscard]] const Decl* find(std::string_view name, DeclKind kind) const;
-  [[nodiscard]] Decl* find(std::string_view name, DeclKind kind);
 
   [[nodiscard]] const EventDecl* find_event(std::string_view name) const;
   [[nodiscard]] const HandlerDecl* find_handler(std::string_view name) const;
-  [[nodiscard]] const MemopDecl* find_memop(std::string_view name) const;
   [[nodiscard]] const FunDecl* find_fun(std::string_view name) const;
   [[nodiscard]] const GlobalDecl* find_global(std::string_view name) const;
   [[nodiscard]] const GroupDecl* find_group(std::string_view name) const;

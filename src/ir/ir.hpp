@@ -217,6 +217,21 @@ struct GroupInfo {
   std::vector<std::int64_t> members;
 };
 
+/// Per-event execution and generate counts of a run, keyed by event name
+/// (only events that occurred appear). Both executors, interp::Runtime and
+/// native::Replica, count per dense event id and report this view.
+struct RunStats {
+  std::map<std::string, std::uint64_t> executions;
+  std::map<std::string, std::uint64_t> generated;
+  std::uint64_t total_executions = 0;
+
+  /// Rebuilds the view from per-event-id counters indexed like `events`.
+  void assign(const std::vector<EventInfo>& events,
+              const std::vector<std::uint64_t>& exec_by_id,
+              const std::vector<std::uint64_t>& gen_by_id,
+              std::uint64_t total);
+};
+
 /// The whole lowered program: per-handler atomic table graphs plus the
 /// metadata the optimizer, backend, and runtime need.
 struct ProgramIR {
@@ -230,6 +245,7 @@ struct ProgramIR {
 
   [[nodiscard]] const ArrayInfo* find_array(std::string_view name) const;
   [[nodiscard]] const MemopInfo* find_memop(std::string_view name) const;
+  [[nodiscard]] const EventInfo* find_event(std::string_view name) const;
   /// The paper's "unoptimized stage count" (Fig 12 numerator): without
   /// branch inlining, reordering, or merging, every atomic table needs its
   /// own stage and handlers occupy disjoint stage ranges, so the longest

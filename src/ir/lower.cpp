@@ -180,6 +180,26 @@ const MemopInfo* ProgramIR::find_memop(std::string_view name) const {
                                  : &memops[static_cast<std::size_t>(it->second)];
 }
 
+const EventInfo* ProgramIR::find_event(std::string_view name) const {
+  for (const auto& ev : events) {
+    if (ev.name == name) return &ev;
+  }
+  return nullptr;
+}
+
+void RunStats::assign(const std::vector<EventInfo>& events,
+                      const std::vector<std::uint64_t>& exec_by_id,
+                      const std::vector<std::uint64_t>& gen_by_id,
+                      std::uint64_t total) {
+  executions.clear();
+  generated.clear();
+  total_executions = total;
+  for (std::size_t id = 0; id < events.size(); ++id) {
+    if (exec_by_id[id] != 0) executions[events[id].name] = exec_by_id[id];
+    if (gen_by_id[id] != 0) generated[events[id].name] = gen_by_id[id];
+  }
+}
+
 int ProgramIR::total_longest_path() const {
   int total = 0;
   for (const auto& h : handlers) total += h.longest_path();

@@ -156,7 +156,7 @@ struct EngineResult {
   std::string error;
   double wall_s = 0.0;
   std::vector<std::vector<std::int64_t>> arrays;
-  RunStats stats;  // interp::RunStats and native::RunStats are same-shape
+  RunStats stats;
   std::uint64_t executed = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t delayed_enqueues = 0;
@@ -172,10 +172,7 @@ inline EngineResult snapshot(interp::Testbed& tb) {
     const pisa::RegisterArray* a = rt.array(arr.name);
     r.arrays.emplace_back(a->data(), a->data() + a->size());
   }
-  const interp::RunStats& st = rt.stats();
-  r.stats.executions = st.executions;
-  r.stats.generated = st.generated;
-  r.stats.total_executions = st.total_executions;
+  r.stats = rt.stats();
   const auto& sched_stats = tb.sched_at(1).stats();
   r.executed = sched_stats.executed;
   r.forwarded = sched_stats.forwarded;

@@ -38,12 +38,11 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "native/abi.hpp"
-#include "opt/passes.hpp"
+#include "opt/emit_walk.hpp"
 
 namespace lucid::native {
 
@@ -54,14 +53,9 @@ using ir::MemKind;
 using ir::Operand;
 using ir::TableKind;
 
-std::string sanitize(std::string name) {
-  for (auto& c : name) {
-    if (c == '.') c = '_';
-  }
-  return name;
+std::string ctx_ref(const std::string& var) {
+  return "m." + opt::sanitize(var);
 }
-
-std::string ctx_ref(const std::string& var) { return "m." + sanitize(var); }
 
 std::string operand_str(const Operand& o) {
   switch (o.kind) {
@@ -122,18 +116,6 @@ std::string binop_expr(frontend::BinOp op, const std::string& l,
   return "0";
 }
 
-std::string cmp_str(ir::CmpOp op) {
-  switch (op) {
-    case ir::CmpOp::Eq: return "==";
-    case ir::CmpOp::Ne: return "!=";
-    case ir::CmpOp::Lt: return "<";
-    case ir::CmpOp::Gt: return ">";
-    case ir::CmpOp::Le: return "<=";
-    case ir::CmpOp::Ge: return ">=";
-  }
-  return "==";
-}
-
 /// Memop operand: the canonical "cell" parameter resolves to the single-read
 /// cell value, anything else to the call-site argument.
 std::string memop_operand(const Operand& o, const Operand& call_arg,
@@ -156,13 +138,13 @@ class Emitter {
  public:
   Emitter(const ir::ProgramIR& ir, const opt::Pipeline& pipeline,
           std::string_view name)
-      : ir_(ir), pipeline_(pipeline), name_(name) {}
+      : ir_(ir),
+        pipeline_(pipeline),
+        name_(name),
+        vars_(opt::ctx_vars(ir, pipeline)),
+        sites_(opt::generate_sites(pipeline)) {}
 
   EmittedModule run() {
-    for (const auto& [site, table] : generate_sites()) {
-      gen_site_index_[table] = site;
-    }
-    collect_vars();
     preamble();
     ctx_struct();
     load_fn();
@@ -171,7 +153,7 @@ class Emitter {
     entry_points();
     EmittedModule m;
     m.text = std::move(out_);
-    m.gen_sites = static_cast<int>(gen_site_index_.size());
+    m.gen_sites = static_cast<int>(sites_.tables.size());
     m.stages = static_cast<int>(pipeline_.stages.size());
     m.loc = loc_;
     return m;
@@ -184,83 +166,6 @@ class Emitter {
     ++loc_;
   }
   void blank() { out_ += '\n'; }
-
-  // ---- variable collection (same walk as the eBPF emitter) ----------------
-
-  void note_var(const Operand& o) {
-    if (o.is_var()) vars_.insert(o.var);
-  }
-
-  void collect_vars() {
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* member : mt.members) {
-          const AtomicTable& t = *member;
-          switch (t.kind) {
-            case TableKind::Op:
-              vars_.insert(t.op.dst);
-              note_var(t.op.lhs);
-              note_var(t.op.rhs);
-              break;
-            case TableKind::Mem:
-              if (!t.mem.dst.empty()) vars_.insert(t.mem.dst);
-              note_var(t.mem.index);
-              note_var(t.mem.get_arg);
-              note_var(t.mem.set_arg);
-              note_var(t.mem.set_value);
-              break;
-            case TableKind::Hash:
-              vars_.insert(t.hash.dst);
-              for (const auto& a : t.hash.args) note_var(a);
-              break;
-            case TableKind::Generate:
-              for (const auto& a : t.gen.args) note_var(a);
-              note_var(t.gen.delay);
-              note_var(t.gen.location);
-              break;
-            case TableKind::Branch:
-              break;
-          }
-          for (const auto& conj : t.guards) {
-            for (const auto& test : conj) vars_.insert(test.var);
-          }
-        }
-      }
-    }
-    for (const auto& ev : ir_.events) {
-      for (const auto& [pname, pwidth] : ev.params) {
-        (void)pwidth;
-        vars_.insert(pname);
-      }
-    }
-    vars_.insert("__self");
-    vars_.insert("__ts");
-  }
-
-  std::vector<std::pair<int, const AtomicTable*>> generate_sites() const {
-    std::vector<std::pair<int, const AtomicTable*>> sites;
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* t : mt.members) {
-          if (t->kind == TableKind::Generate) sites.emplace_back(n++, t);
-        }
-      }
-    }
-    return sites;
-  }
-
-  int gen_site_of(const AtomicTable* t) const {
-    const auto it = gen_site_index_.find(t);
-    return it != gen_site_index_.end() ? it->second : -1;
-  }
-
-  int event_id_of(const std::string& handler) const {
-    for (const auto& ev : ir_.events) {
-      if (ev.name == handler) return ev.event_id;
-    }
-    return -1;
-  }
 
   int array_slot(const std::string& name) const {
     const auto it = ir_.array_index.find(name);
@@ -333,10 +238,11 @@ class Emitter {
     line("// interpreter Frame defaults. All fields are i64 (Value).");
     line("struct Ctx {");
     line("  i32 ev_id;");
-    for (const auto& name : vars_) {
-      line("  i64 " + sanitize(name) + ";");
+    for (const auto& var : vars_) {
+      line("  i64 " + opt::sanitize(var.first) + ";");
     }
-    for (const auto& [site, t] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
+      const AtomicTable* t = sites_.tables[site];
       const std::string p = "g" + std::to_string(site) + "_";
       line("  i64 " + p + "fired;");
       line("  i64 " + p + "delay;");
@@ -380,28 +286,6 @@ class Emitter {
     blank();
   }
 
-  /// `m.ev_id == <id> && (guard disjunction)` — same shape as the eBPF
-  /// emitter's table_condition.
-  std::string table_condition(const AtomicTable& t) const {
-    std::string cond =
-        "m.ev_id == " + std::to_string(event_id_of(t.handler));
-    if (t.guards.empty()) return cond;
-    std::string dis;
-    for (std::size_t c = 0; c < t.guards.size(); ++c) {
-      if (c > 0) dis += " || ";
-      std::string conj;
-      for (std::size_t i = 0; i < t.guards[c].size(); ++i) {
-        if (i > 0) conj += " && ";
-        const ir::MatchTest& test = t.guards[c][i];
-        conj += ctx_ref(test.var) + (test.eq ? " == " : " != ") +
-                std::to_string(test.value);
-      }
-      if (t.guards[c].empty()) conj = "1";
-      dis += t.guards.size() > 1 ? "(" + conj + ")" : conj;
-    }
-    return cond + " && (" + dis + ")";
-  }
-
   void emit_memop_assign(const std::string& indent, const std::string& dst,
                          const ir::MemopInfo* mo, const Operand& call_arg,
                          const std::string& cell_name, int mask_w) {
@@ -414,7 +298,7 @@ class Emitter {
     if (mo->has_condition) {
       line(indent + "if (" +
            memop_operand(mo->cond_lhs, call_arg, cell_name) + " " +
-           cmp_str(mo->cond_op) + " " +
+           std::string(ir::cmp_name(mo->cond_op)) + " " +
            memop_operand(mo->cond_rhs, call_arg, cell_name) + ")");
       line(indent + "  " + dst + " = " +
            rhs(mo->then_lhs, mo->then_op, mo->then_rhs) + ";");
@@ -524,7 +408,7 @@ class Emitter {
         break;
       }
       case TableKind::Generate: {
-        const int site = gen_site_of(&t);
+        const int site = sites_.site_of(&t);
         const std::string p = "m.g" + std::to_string(site) + "_";
         line(indent + p + "fired = 1;");
         line(indent + p + "delay = " + operand_str(t.gen.delay) + ";");
@@ -559,8 +443,8 @@ class Emitter {
           const AtomicTable& t = *member;
           if (t.kind == TableKind::Branch) continue;
           any = true;
-          line("  if (" + table_condition(t) + ") {  // " + t.handler +
-               ": " + std::string(ir::table_kind_name(t.kind)));
+          line("  if (" + opt::table_condition(ir_, t) + ") {  // " +
+               t.handler + ": " + std::string(ir::table_kind_name(t.kind)));
           emit_table(t, "    ");
           line("  }");
         }
@@ -578,7 +462,8 @@ class Emitter {
     line("// the event's param widths (EventCtor).");
     line("inline i32 lucid_flush(Ctx& m, GenOut* out) {");
     line("  i32 n = 0;");
-    for (const auto& [site, t] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
+      const AtomicTable* t = sites_.tables[site];
       const std::string p = "m.g" + std::to_string(site) + "_";
       const auto& ev = ir_.events[static_cast<std::size_t>(t->gen.event_id)];
       const std::size_t nargs =
@@ -601,14 +486,14 @@ class Emitter {
       }
       line("  }");
     }
-    if (gen_site_index_.empty()) line("  (void)m; (void)out;");
+    if (sites_.tables.empty()) line("  (void)m; (void)out;");
     line("  return n;");
     line("}");
     blank();
   }
 
   void entry_points() {
-    const int gens = static_cast<int>(gen_site_index_.size());
+    const int gens = static_cast<int>(sites_.tables.size());
     const int stages = static_cast<int>(pipeline_.stages.size());
     line("}  // namespace");
     blank();
@@ -643,8 +528,8 @@ class Emitter {
   std::string_view name_;
   std::string out_;
   int loc_ = 0;
-  std::set<std::string> vars_;
-  std::map<const AtomicTable*, int> gen_site_index_;
+  const std::map<std::string, int> vars_;  // ctx fields (widths unused)
+  const opt::GenerateSites sites_;
 };
 
 }  // namespace

@@ -43,13 +43,6 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
   return prog;
 }
 
-const ir::EventInfo* Program::find_event(const std::string& name) const {
-  for (const auto& ev : comp_->ir().events) {
-    if (ev.name == name) return &ev;
-  }
-  return nullptr;
-}
-
 const ir::EventInfo* Program::validate_event(
     const std::string& name, std::vector<std::int64_t>& args) const {
   // ABI hard cap, checked before the declaration walk: the fixed args[]
@@ -554,18 +547,8 @@ std::int64_t Replica::control_read(std::size_t decl_index,
 }
 
 const RunStats& Replica::run_stats() const {
-  const ir::ProgramIR& ir = prog_->ir();
-  run_stats_.executions.clear();
-  run_stats_.generated.clear();
-  run_stats_.total_executions = total_executions_;
-  for (std::size_t id = 0; id < ir.events.size(); ++id) {
-    if (exec_count_by_id_[id] != 0) {
-      run_stats_.executions[ir.events[id].name] = exec_count_by_id_[id];
-    }
-    if (gen_count_by_id_[id] != 0) {
-      run_stats_.generated[ir.events[id].name] = gen_count_by_id_[id];
-    }
-  }
+  run_stats_.assign(prog_->ir().events, exec_count_by_id_, gen_count_by_id_,
+                    total_executions_);
   return run_stats_;
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -39,13 +38,9 @@ class Histogram;
 
 namespace lucid::native {
 
-/// Name-keyed run statistics; same shape as interp::RunStats so differential
-/// tests can compare them directly.
-struct RunStats {
-  std::map<std::string, std::uint64_t> executions;
-  std::map<std::string, std::uint64_t> generated;
-  std::uint64_t total_executions = 0;
-};
+/// The same type as interp::RunStats, so differential tests compare them
+/// directly.
+using RunStats = ir::RunStats;
 
 /// A program compiled for native execution: the emitted module source plus
 /// the loaded shared object. Immutable after build; share it across every
@@ -64,7 +59,10 @@ class Program {
   [[nodiscard]] const Module& module() const { return *module_; }
   [[nodiscard]] const EmittedModule& emitted() const { return emitted_; }
 
-  [[nodiscard]] const ir::EventInfo* find_event(const std::string& name) const;
+  [[nodiscard]] const ir::EventInfo* find_event(
+      const std::string& name) const {
+    return ir().find_event(name);
+  }
   /// Validates an injection against the event's declaration and masks
   /// `args` in place to the declared param widths (EventCtor semantics).
   /// nullptr on an unknown event, an arity mismatch or more than kMaxArgs

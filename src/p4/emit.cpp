@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "opt/emit_walk.hpp"
 #include "support/linewriter.hpp"
 #include "support/strings.hpp"
 
@@ -49,31 +50,6 @@ std::string operand_str(const Operand& o) {
   return "0";
 }
 
-std::string p4_binop(frontend::BinOp op) {
-  using frontend::BinOp;
-  switch (op) {
-    case BinOp::Add: return "+";
-    case BinOp::Sub: return "-";
-    case BinOp::Mul: return "*";
-    case BinOp::Div: return "/";
-    case BinOp::Mod: return "%";
-    case BinOp::BitAnd: return "&";
-    case BinOp::BitOr: return "|";
-    case BinOp::BitXor: return "^";
-    case BinOp::Shl: return "<<";
-    case BinOp::Shr: return ">>";
-    case BinOp::Eq: return "==";
-    case BinOp::Ne: return "!=";
-    case BinOp::Lt: return "<";
-    case BinOp::Gt: return ">";
-    case BinOp::Le: return "<=";
-    case BinOp::Ge: return ">=";
-    case BinOp::LAnd: return "&&";
-    case BinOp::LOr: return "||";
-  }
-  return "+";
-}
-
 bool is_comparison(frontend::BinOp op) {
   return frontend::binop_is_comparison(op) || frontend::binop_is_logical(op);
 }
@@ -91,28 +67,10 @@ std::string memop_expr(const Operand& lhs,
                        const Operand& rhs, const Operand& call_arg) {
   std::string s = memop_operand(lhs, call_arg);
   if (op) {
-    s += " " + p4_binop(*op) + " " + memop_operand(rhs, call_arg);
+    s += " " + std::string(frontend::binop_name(*op)) + " " +
+         memop_operand(rhs, call_arg);
   }
   return s;
-}
-
-std::string cmp_str(ir::CmpOp op) {
-  switch (op) {
-    case ir::CmpOp::Eq: return "==";
-    case ir::CmpOp::Ne: return "!=";
-    case ir::CmpOp::Lt: return "<";
-    case ir::CmpOp::Gt: return ">";
-    case ir::CmpOp::Le: return "<=";
-    case ir::CmpOp::Ge: return ">=";
-  }
-  return "==";
-}
-
-std::string sanitize(std::string name) {
-  for (auto& c : name) {
-    if (c == '.') c = '_';
-  }
-  return name;
 }
 
 /// Key for deduplicating RegisterActions: identical access + memops + args.
@@ -128,10 +86,13 @@ class Emitter {
  public:
   Emitter(const ir::ProgramIR& ir, const opt::Pipeline& pipeline,
           std::string_view name)
-      : ir_(ir), pipeline_(pipeline), name_(name) {}
+      : ir_(ir),
+        pipeline_(pipeline),
+        name_(name),
+        vars_(opt::ctx_vars(ir, pipeline)),
+        sites_(opt::generate_sites(pipeline)) {}
 
   P4Program run() {
-    collect_vars();
     preamble();
     headers();
     metadata_struct();
@@ -147,73 +108,6 @@ class Emitter {
   }
 
  private:
-  // ---- variable collection -------------------------------------------------
-
-  void note_var(const Operand& o) {
-    if (o.is_var()) {
-      auto& w = vars_[o.var];
-      w = std::max(w, o.width);
-    }
-  }
-
-  void collect_vars() {
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* member : mt.members) {
-          const AtomicTable& t = *member;
-          switch (t.kind) {
-            case TableKind::Op: {
-              auto& w = vars_[t.op.dst];
-              w = std::max(w, t.op.width);
-              note_var(t.op.lhs);
-              note_var(t.op.rhs);
-              break;
-            }
-            case TableKind::Mem:
-              if (!t.mem.dst.empty()) {
-                auto& w = vars_[t.mem.dst];
-                w = std::max(w, t.mem.cell_width);
-              }
-              note_var(t.mem.index);
-              note_var(t.mem.get_arg);
-              note_var(t.mem.set_arg);
-              note_var(t.mem.set_value);
-              break;
-            case TableKind::Hash: {
-              auto& w = vars_[t.hash.dst];
-              w = std::max(w, 32);
-              for (const auto& a : t.hash.args) note_var(a);
-              break;
-            }
-            case TableKind::Generate:
-              for (const auto& a : t.gen.args) note_var(a);
-              note_var(t.gen.delay);
-              note_var(t.gen.location);
-              break;
-            case TableKind::Branch:
-              break;
-          }
-          for (const auto& conj : t.guards) {
-            for (const auto& test : conj) {
-              auto& w = vars_[test.var];
-              w = std::max(w, 32);
-            }
-          }
-        }
-      }
-    }
-    // Handler parameters arrive via event headers but are copied into
-    // metadata by the dispatcher actions.
-    for (const auto& ev : ir_.events) {
-      for (const auto& [pname, pwidth] : ev.params) {
-        auto& w = vars_[pname];
-        w = std::max(w, pwidth);
-      }
-    }
-    vars_["__self"] = 32;
-    vars_["__ts"] = 32;
-  }
-
   // ---- sections -----------------------------------------------------------
 
   void preamble() {
@@ -265,36 +159,21 @@ class Emitter {
       w_.line(LineCategory::Header,
               "    ev_" + ev.name + "_h ev_" + ev.name + ";");
     }
-    for (const auto& [site, ev] : generate_sites()) {
-      w_.line(LineCategory::Header, "    lucid_event_h gen_meta_" +
-                                        std::to_string(site) + ";");
-      w_.line(LineCategory::Header, "    ev_" + ev + "_h gen_" +
-                                        std::to_string(site) + ";");
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
+      const std::string n = std::to_string(site);
+      w_.line(LineCategory::Header, "    lucid_event_h gen_meta_" + n + ";");
+      w_.line(LineCategory::Header,
+              "    ev_" + sites_.tables[site]->gen.event + "_h gen_" + n + ";");
     }
     w_.line(LineCategory::Header, "}");
     w_.blank();
-  }
-
-  std::vector<std::pair<int, std::string>> generate_sites() const {
-    std::vector<std::pair<int, std::string>> sites;
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* t : mt.members) {
-          if (t->kind == TableKind::Generate) {
-            sites.emplace_back(n++, t->gen.event);
-          }
-        }
-      }
-    }
-    return sites;
   }
 
   void metadata_struct() {
     w_.line(LineCategory::Other, "struct ig_metadata_t {");
     for (const auto& [name, width] : vars_) {
       w_.line(LineCategory::Other,
-              "    " + bit_ty(width) + " " + sanitize(name) + ";");
+              "    " + bit_ty(width) + " " + opt::sanitize(name) + ";");
     }
     w_.line(LineCategory::Other, "    bit<16> ev_id;");
     w_.line(LineCategory::Other, "    bit<8>  gen_count;");
@@ -410,7 +289,7 @@ class Emitter {
                 "            if (" +
                     subst_cell(memop_operand(mo->cond_lhs, call_arg),
                                cell_name) +
-                    " " + cmp_str(mo->cond_op) + " " +
+                    " " + std::string(ir::cmp_name(mo->cond_op)) + " " +
                     subst_cell(memop_operand(mo->cond_rhs, call_arg),
                                cell_name) +
                     ") {");
@@ -479,15 +358,17 @@ class Emitter {
         std::string rhs;
         if (t.op.op && is_comparison(*t.op.op)) {
           rhs = "(" + bit_ty(t.op.width) + ")(" + operand_str(t.op.lhs) +
-                " " + p4_binop(*t.op.op) + " " + operand_str(t.op.rhs) + ")";
+                " " + std::string(frontend::binop_name(*t.op.op)) + " " +
+                operand_str(t.op.rhs) + ")";
         } else if (t.op.op) {
-          rhs = operand_str(t.op.lhs) + " " + p4_binop(*t.op.op) + " " +
+          rhs = operand_str(t.op.lhs) + " " +
+                std::string(frontend::binop_name(*t.op.op)) + " " +
                 operand_str(t.op.rhs);
         } else {
           rhs = operand_str(t.op.lhs);
         }
         w_.line(LineCategory::Action,
-                "        " + md(sanitize(t.op.dst)) + " = " + rhs + ";");
+                "        " + md(opt::sanitize(t.op.dst)) + " = " + rhs + ";");
         break;
       }
       case TableKind::Mem: {
@@ -498,7 +379,7 @@ class Emitter {
                       ");");
         } else {
           w_.line(LineCategory::Action,
-                  "        " + md(sanitize(t.mem.dst)) + " = " + ra +
+                  "        " + md(opt::sanitize(t.mem.dst)) + " = " + ra +
                       ".execute(" + operand_str(t.mem.index) + ");");
         }
         break;
@@ -510,12 +391,12 @@ class Emitter {
           args += operand_str(t.hash.args[i]);
         }
         w_.line(LineCategory::Action,
-                "        " + md(sanitize(t.hash.dst)) + " = hash_unit_" +
+                "        " + md(opt::sanitize(t.hash.dst)) + " = hash_unit_" +
                     std::to_string(t.hash.seed) + ".get({" + args + "});");
         break;
       }
       case TableKind::Generate: {
-        const int site = gen_site_of(&t);
+        const int site = sites_.site_of(&t);
         const std::string h = "hdr.gen_" + std::to_string(site);
         const std::string hm = "hdr.gen_meta_" + std::to_string(site);
         w_.line(LineCategory::Action, "        " + hm + ".setValid();");
@@ -551,21 +432,6 @@ class Emitter {
     }
   }
 
-  int gen_site_of(const AtomicTable* t) const {
-    int n = 0;
-    for (const auto& stage : pipeline_.stages) {
-      for (const auto& mt : stage.tables) {
-        for (const auto* m : mt.members) {
-          if (m->kind == TableKind::Generate) {
-            if (m == t) return n;
-            ++n;
-          }
-        }
-      }
-    }
-    return -1;
-  }
-
   void emit_tables() {
     int sidx = 0;
     for (const auto& stage : pipeline_.stages) {
@@ -599,7 +465,7 @@ class Emitter {
           groups.emplace_back();
           g = &groups.back();
           g->handler = t.handler;
-          g->event_id = event_id_of(t.handler);
+          g->event_id = opt::handler_event_id(ir_, t);
           g->unconditional = true;
         }
         g->members.push_back(member);
@@ -607,19 +473,12 @@ class Emitter {
         groups.emplace_back();
         EmitGroup& g = groups.back();
         g.handler = t.handler;
-        g.event_id = event_id_of(t.handler);
+        g.event_id = opt::handler_event_id(ir_, t);
         g.unconditional = false;
         g.guarded = member;
       }
     }
     return groups;
-  }
-
-  int event_id_of(const std::string& handler) const {
-    for (const auto& ev : ir_.events) {
-      if (ev.name == handler) return ev.event_id;
-    }
-    return -1;
   }
 
   void emit_merged_table(const opt::MergedTable& mt, int sidx, int tidx) {
@@ -659,7 +518,7 @@ class Emitter {
     w_.line(LineCategory::Table, "            ig_md.ev_id : ternary;");
     for (const auto& k : key_vars) {
       w_.line(LineCategory::Table,
-              "            " + md(sanitize(k)) + " : ternary;");
+              "            " + md(opt::sanitize(k)) + " : ternary;");
     }
     w_.line(LineCategory::Table, "        }");
     w_.line(LineCategory::Table, "        actions = {");
@@ -709,7 +568,7 @@ class Emitter {
               "    action dispatch_" + ev.name + "() {");
       for (const auto& [pname, pwidth] : ev.params) {
         (void)pwidth;
-        w_.line(LineCategory::Action, "        " + md(sanitize(pname)) +
+        w_.line(LineCategory::Action, "        " + md(opt::sanitize(pname)) +
                                           " = hdr.ev_" + ev.name + "." +
                                           pname + ";");
       }
@@ -800,8 +659,8 @@ class Emitter {
     w_.line(LineCategory::Control, "    apply {");
     w_.line(LineCategory::Control,
             "        // --- Lucid event serializer ---");
-    const auto sites = generate_sites();
-    for (const auto& [site, ev] : sites) {
+    const std::size_t sites = sites_.tables.size();
+    for (std::size_t site = 0; site < sites; ++site) {
       w_.line(LineCategory::Control,
               "        if (eg_intr_md.egress_rid == " +
                   std::to_string(site + 1) + ") {");
@@ -812,16 +671,15 @@ class Emitter {
               "            hdr.event = hdr.gen_meta_" + std::to_string(site) +
                   ";");
       w_.line(LineCategory::Control,
-              "            hdr.ev_" + ev + " = hdr.gen_" +
-                  std::to_string(site) + ";");
-      for (const auto& [other, oev] : sites) {
+              "            hdr.ev_" + sites_.tables[site]->gen.event +
+                  " = hdr.gen_" + std::to_string(site) + ";");
+      for (std::size_t other = 0; other < sites; ++other) {
         w_.line(LineCategory::Control, "            hdr.gen_meta_" +
                                            std::to_string(other) +
                                            ".setInvalid();");
         w_.line(LineCategory::Control,
                 "            hdr.gen_" + std::to_string(other) +
                     ".setInvalid();");
-        (void)oev;
       }
       w_.line(LineCategory::Control, "        }");
     }
@@ -850,12 +708,11 @@ class Emitter {
       w_.line(LineCategory::Control, "        pkt.emit(hdr.ev_" + ev.name +
                                          ");");
     }
-    for (const auto& [site, ev] : generate_sites()) {
+    for (std::size_t site = 0; site < sites_.tables.size(); ++site) {
       w_.line(LineCategory::Control,
               "        pkt.emit(hdr.gen_meta_" + std::to_string(site) + ");");
       w_.line(LineCategory::Control,
               "        pkt.emit(hdr.gen_" + std::to_string(site) + ");");
-      (void)ev;
     }
     w_.line(LineCategory::Control, "    }");
     w_.line(LineCategory::Control, "}");
@@ -874,7 +731,8 @@ class Emitter {
   const opt::Pipeline& pipeline_;
   std::string_view name_;
   LineWriter w_;
-  std::map<std::string, int> vars_;              // metadata fields
+  const std::map<std::string, int> vars_;        // metadata fields: widths
+  const opt::GenerateSites sites_;
   std::map<std::string, std::string> reg_actions_;  // signature -> name
   std::vector<std::string> table_names_;
 };

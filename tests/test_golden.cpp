@@ -1,9 +1,9 @@
 // Golden-file tests for the code-generating emitters: the emitted artifact
 // for every paper app (apps::all_apps()), plus tests/golden/constructs.lucid
 // (the language constructs the apps never use), is checked in under
-// tests/golden/ and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the eBPF/XDP C
-// program as <KEY>.c and the native module source as native/<KEY>.cpp (the
-// JIT store keys on that text). Any intentional emitter change regenerates
+// tests/golden/ and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the
+// eBPF/XDP C program as <KEY>.c and the native module source as
+// native/<KEY>.cpp (the JIT store keys on that text). Any intentional emitter change regenerates
 // them with
 //
 //   UPDATE_GOLDEN=1 ./build/test_golden
@@ -20,6 +20,7 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "core/sweep.hpp"
+#include "golden_programs.hpp"
 #include "native/differential.hpp"
 #include "native/emit.hpp"
 #include "support/strings.hpp"
@@ -65,22 +66,6 @@ std::string read_file(const std::string& path, bool& ok) {
   ss << in.rdbuf();
   ok = true;
   return ss.str();
-}
-
-/// Every program with emitter goldens: the ten paper apps plus the
-/// constructs program.
-const std::vector<apps::AppSpec>& golden_programs() {
-  static const std::vector<apps::AppSpec> programs = [] {
-    std::vector<apps::AppSpec> all = apps::all_apps();
-    apps::AppSpec constructs;
-    constructs.key = "constructs";
-    bool ok = false;
-    constructs.source = read_file(
-        std::string(LUCID_SOURCE_DIR) + "/tests/golden/constructs.lucid", ok);
-    all.push_back(std::move(constructs));
-    return all;
-  }();
-  return programs;
 }
 
 std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {

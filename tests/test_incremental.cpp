@@ -29,6 +29,7 @@
 #include "frontend/fingerprint.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/printer.hpp"
+#include "golden_programs.hpp"
 #include "interp/runtime.hpp"
 #include "pisa/switch.hpp"
 #include "sema/depgraph.hpp"
@@ -218,7 +219,7 @@ TEST(Fingerprint, StreamingHashMatchesTheCanonicalPrintPreimage) {
   // canonical print; this pins the two code paths (fingerprint.cpp's
   // hash_* mirror vs printer.cpp) to each other for every decl of every
   // app. A divergence silently changes every cache key.
-  for (const apps::AppSpec& spec : apps::all_apps()) {
+  for (const apps::AppSpec& spec : golden_programs()) {
     SCOPED_TRACE(spec.key);
     const Program p = parse_ok(spec.source);
     for (const auto& d : p.decls) {
@@ -232,7 +233,7 @@ TEST(Fingerprint, StreamingHashMatchesTheCanonicalPrintPreimage) {
 }
 
 TEST(Fingerprint, CanonicalPrintIsAFixedPoint) {
-  for (const apps::AppSpec& spec : apps::all_apps()) {
+  for (const apps::AppSpec& spec : golden_programs()) {
     SCOPED_TRACE(spec.key);
     const Program parsed = parse_ok(spec.source);
     const std::string canonical = frontend::canonical_print_program(parsed);

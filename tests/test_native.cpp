@@ -528,6 +528,121 @@ TEST(NativeFleet, ControlPlaneAppliesWhileFleetRuns) {
   }
 }
 
+TEST(NativeFleet, ControlInjectedEventsExecuteOnTheFleet) {
+  const auto prog = build_source(
+      "global hits = new Array<<32>>(64);\n"
+      "memop plus(int cur, int x) { return cur + x; }\n"
+      "event pkt(int x);\n"
+      "handle pkt(int x) { Array.set(hits, x, plus, 1); }\n",
+      "ctrl_inject");
+  ASSERT_NE(prog, nullptr);
+  FleetConfig fcfg;
+  fcfg.shards = 4;
+  fcfg.label_metrics = false;
+  ReplicaFleet fleet(prog, fcfg);
+  ctrl::FleetDataPlane dp(fleet);
+
+  sim::Simulator sim;
+  pisa::SwitchConfig sw_cfg;
+  sw_cfg.id = 99;
+  pisa::Switch sw(sim, sw_cfg);
+  sched::EventScheduler sc(sw, sched::SchedulerConfig{});
+  ctrl::ControlPlane plane(dp, sc, ctrl::ControlPlaneConfig{});
+
+  EXPECT_TRUE(dp.can_inject("pkt", 1));
+  EXPECT_FALSE(dp.can_inject("no_such_event", 1));
+  EXPECT_FALSE(dp.can_inject("pkt", 0));
+  EXPECT_FALSE(dp.can_inject("pkt", 2));
+
+  // A batch naming an unknown event or the wrong arity is rejected whole:
+  // its valid post is not raised either.
+  std::vector<ctrl::BatchResult> results;
+  const auto record = [&results](const ctrl::BatchResult& r) {
+    results.push_back(r);
+  };
+  for (const ctrl::EventPost& bad :
+       {ctrl::EventPost{"no_such_event", {1}, 0},
+        ctrl::EventPost{"pkt", {1, 2}, 0}}) {
+    ctrl::UpdateBatch b;
+    b.events.push_back(ctrl::EventPost{"pkt", {7}, 0});
+    b.events.push_back(bad);
+    b.on_done = record;
+    plane.submit(std::move(b));
+  }
+  // A valid batch: two posts, the second delayed.
+  ctrl::UpdateBatch good;
+  good.events.push_back(ctrl::EventPost{"pkt", {5}, 0});
+  good.events.push_back(ctrl::EventPost{"pkt", {9}, 2 * sim::kUs});
+  good.on_done = record;
+  plane.submit(std::move(good));
+  plane.flush();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].applied);
+  EXPECT_FALSE(results[1].applied);
+  EXPECT_TRUE(results[2].applied) << results[2].error;
+
+  // Each post executes once, on the shard its flow routes to.
+  fleet.run_until(sim::kMs);
+  const RunStats merged = fleet.merged_run_stats();
+  EXPECT_EQ(merged.total_executions, 2u);
+  EXPECT_EQ(merged.executions.at("pkt"), 2u);
+  const auto slot = static_cast<std::size_t>(prog->ir().array_index.at("hits"));
+  for (const std::int64_t x : {5, 9}) {
+    const std::size_t home = fleet.route_of("pkt", {x});
+    for (int s = 0; s < fleet.shards(); ++s) {
+      EXPECT_EQ(fleet.shard(static_cast<std::size_t>(s)).control_read(slot, x),
+                static_cast<std::size_t>(s) == home ? 1 : 0)
+          << "x=" << x << " shard " << s;
+    }
+  }
+  EXPECT_EQ(dp.read("hits", 7), 0) << "a rejected batch raised an event";
+}
+
+TEST(NativeFleet, LocatedInjectionsLandOnTheLocationShard) {
+  // An injection addressed to location L routes on L alone, whatever its
+  // event and args, so every packet for one destination meets the same
+  // shard. Addressed elsewhere than this switch, each one is forwarded
+  // there, which the shard counts.
+  const auto prog = build_source(
+      "global hits = new Array<<32>>(64);\n"
+      "memop plus(int cur, int x) { return cur + x; }\n"
+      "event pkt(int x);\n"
+      "handle pkt(int x) { Array.set(hits, x, plus, 1); }\n",
+      "located_route");
+  ASSERT_NE(prog, nullptr);
+  FleetConfig fcfg;
+  fcfg.shards = 4;
+  fcfg.label_metrics = false;
+  fcfg.replica.switch_cfg.id = 1000;  // no injection below is local
+  ReplicaFleet fleet(prog, fcfg);
+  const std::int32_t id = prog->find_event("pkt")->event_id;
+
+  std::vector<std::uint64_t> want(4, 0);
+  int differs = 0;  // injections whose flow hash picks another shard
+  sim::Time t = 1000;
+  for (std::int64_t loc = 0; loc < 16; ++loc) {
+    const std::size_t home = ReplicaFleet::route(4, loc, id, {});
+    for (std::int64_t x = 0; x < 8; ++x, t += 100) {
+      EXPECT_EQ(fleet.route_of("pkt", {x}, loc), home);
+      if (fleet.route_of("pkt", {x}) != home) ++differs;
+      ASSERT_TRUE(fleet.schedule_inject(t, "pkt", {x}, 0, loc));
+      ++want[home];
+    }
+  }
+  ASSERT_GT(differs, 0) << "no injection exercises location routing";
+  fleet.run_until(t + sim::kMs);
+
+  int used = 0;
+  for (int s = 0; s < fleet.shards(); ++s) {
+    const auto& st = fleet.shard(static_cast<std::size_t>(s)).stats();
+    EXPECT_EQ(st.forwarded, want[static_cast<std::size_t>(s)])
+        << "shard " << s;
+    EXPECT_EQ(st.executed, 0u) << "shard " << s;
+    if (want[static_cast<std::size_t>(s)] > 0) ++used;
+  }
+  EXPECT_GT(used, 1) << "every location hashed to one shard";
+}
+
 // ---------------------------------------------------------------------------
 // Backend registration
 // ---------------------------------------------------------------------------
