@@ -3,8 +3,8 @@
 // (the language constructs the apps never use), is checked in under
 // tests/golden/ and diffed verbatim — Tofino-style P4_16 as <KEY>.p4, the
 // eBPF/XDP C program as <KEY>.c and the native module source as
-// native/<KEY>.cpp (the JIT store keys on that text). Any intentional emitter change regenerates
-// them with
+// native/<KEY>.cpp (the JIT store keys on that text). Any intentional
+// emitter change regenerates them with
 //
 //   UPDATE_GOLDEN=1 ./build/test_golden
 //
@@ -56,18 +56,6 @@ bool update_requested() {
   return env != nullptr && std::string(env) != "0" && std::string(env) != "";
 }
 
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
-}
-
 std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {
   BackendRegistry registry;
   register_default_backends(registry);
@@ -86,6 +74,18 @@ std::string emit_app(const apps::AppSpec& spec, const std::string& backend) {
   EXPECT_TRUE(artifact.ok)
       << spec.key << " via " << backend << ":\n" << comp->diags().render();
   return artifact.text;
+}
+
+std::string read_file(const std::string& path, bool& ok) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    ok = false;
+    return {};
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  ok = true;
+  return ss.str();
 }
 
 /// Points at the first differing line, with context, so a golden failure is

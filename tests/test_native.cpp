@@ -581,7 +581,8 @@ TEST(NativeFleet, ControlInjectedEventsExecuteOnTheFleet) {
   EXPECT_FALSE(results[1].applied);
   EXPECT_TRUE(results[2].applied) << results[2].error;
 
-  // Each post executes once, on the shard its flow routes to.
+  // Each valid post executes once, on the shard its flow routes to, and
+  // nothing else runs.
   fleet.run_until(sim::kMs);
   const RunStats merged = fleet.merged_run_stats();
   EXPECT_EQ(merged.total_executions, 2u);
@@ -595,7 +596,6 @@ TEST(NativeFleet, ControlInjectedEventsExecuteOnTheFleet) {
           << "x=" << x << " shard " << s;
     }
   }
-  EXPECT_EQ(dp.read("hits", 7), 0) << "a rejected batch raised an event";
 }
 
 TEST(NativeFleet, LocatedInjectionsLandOnTheLocationShard) {
