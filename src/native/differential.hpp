@@ -37,6 +37,8 @@ struct Injection {
   sim::Time t = 0;
   std::string event;
   std::vector<std::int64_t> args;
+  sim::Time delay_ns = 0;
+  std::int64_t location = -1;  // -1: unlocated
 };
 
 struct Schedule {
@@ -148,6 +150,29 @@ inline Schedule make_burst_schedule(const ir::ProgramIR& ir,
   return s;
 }
 
+/// make_schedule's arrivals with wide arguments: each arg is a full 64-bit
+/// word or a boundary of its param width w — 0, -1, 2^w - 1 or 2^w (the
+/// last two wrap for w >= 64) — so the width masks both engines apply on
+/// injection see the bits above every declared width.
+inline Schedule make_wide_schedule(const ir::ProgramIR& ir,
+                                   std::uint64_t seed, int traffic_events) {
+  Schedule s = make_schedule(ir, seed, traffic_events);
+  std::uint64_t rng = seed * 0xD1B54A32D192ED03ull + 3;
+  for (auto& e : s.entries) {
+    const ir::EventInfo* ev = ir.find_event(e.event);
+    for (std::size_t i = 0; i < e.args.size(); ++i) {
+      const int w = ev->params[i].second;
+      const std::uint64_t pow =
+          w > 0 && w < 64 ? std::uint64_t{1} << w : std::uint64_t{0};
+      const std::uint64_t bounds[] = {0, ~std::uint64_t{0}, pow - 1, pow};
+      const std::uint64_t pick = splitmix64(rng) % 6;  // 1/3 full words
+      e.args[i] = static_cast<std::int64_t>(pick < 4 ? bounds[pick]
+                                                     : splitmix64(rng));
+    }
+  }
+  return s;
+}
+
 /// One engine's observable outcome: wall time of the run (excluding compile
 /// and setup), the full register state in IR declaration order, and every
 /// counter the engines share.
@@ -212,7 +237,7 @@ inline EngineResult run_interp(const std::string& source,
   interp::Runtime& rt = tb.node(1);
   for (const auto& e : s.entries) {
     tb.sim().after(e.t, [&rt, &e] {
-      rt.inject(e.event, e.args);
+      rt.inject(e.event, e.args, e.delay_ns, e.location);
     });
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -229,7 +254,7 @@ inline EngineResult run_native(const std::shared_ptr<const Program>& prog,
   cfg.switch_cfg.id = 1;  // mirror run_interp's single node
   Replica rep(prog, cfg);
   for (const auto& e : s.entries) {
-    if (!rep.schedule_inject(e.t, e.event, e.args)) {
+    if (!rep.schedule_inject(e.t, e.event, e.args, e.delay_ns, e.location)) {
       r.error = "schedule_inject rejected event " + e.event;
       return r;
     }

@@ -1,6 +1,7 @@
 #include "native/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -9,6 +10,24 @@
 namespace lucid::native {
 
 using support::mask_width;
+
+namespace {
+
+/// Wire size of a packet carrying `nargs` args (sched's to_packet sizing).
+int packet_bytes(std::int32_t nargs) {
+  return std::max<int>(64, 34 + 4 * nargs);
+}
+
+/// Writes `args` width-masked by `ev` to `out` (which may alias `args`).
+void mask_args(const EventSpec& ev, std::span<const std::int64_t> args,
+               std::int64_t* out) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    out[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(args[i]) &
+                                       ev.masks[i]);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Program
@@ -36,6 +55,17 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
 
   auto prog = std::make_shared<Program>();
   prog->comp_ = std::move(comp);
+  for (const auto& ev : prog->ir().events) {
+    EventSpec spec;
+    spec.id = ev.event_id;
+    spec.arity = static_cast<std::int32_t>(ev.params.size());
+    for (std::size_t i = 0; i < ev.params.size(); ++i) {
+      spec.masks[i] =
+          static_cast<std::uint64_t>(mask_width(-1, ev.params[i].second));
+    }
+    prog->event_names_.push_back(ev.name);
+    prog->event_specs_.push_back(spec);
+  }
   prog->emitted_ =
       emit_source(*prog->comp_, prog->comp_->options().program_name);
   prog->module_ = Module::load(prog->emitted_.text, error);
@@ -43,19 +73,23 @@ std::shared_ptr<const Program> Program::build(ConstCompilationPtr comp,
   return prog;
 }
 
-const ir::EventInfo* Program::validate_event(
-    const std::string& name, std::vector<std::int64_t>& args) const {
-  // ABI hard cap, checked before the declaration walk: the fixed args[]
-  // slabs (RPacket, PacketIn) hold kMaxArgs words, so an over-arity
-  // injection must be rejected, never truncated. Program::build refuses
-  // events declared wider, but injection is caller input — same reject
-  // semantics as an arity mismatch.
-  if (args.size() > static_cast<std::size_t>(kMaxArgs)) return nullptr;
-  const ir::EventInfo* ev = find_event(name);
-  if (ev == nullptr || args.size() != ev->params.size()) return nullptr;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    args[i] = mask_width(args[i], ev->params[i].second);
+const EventSpec* Program::resolve(std::string_view name) const {
+  for (std::size_t i = 0; i < event_names_.size(); ++i) {
+    if (event_names_[i] == name) return &event_specs_[i];
   }
+  return nullptr;
+}
+
+const EventSpec* Program::validate_event(
+    std::string_view name, std::vector<std::int64_t>& args) const {
+  // Program::build refuses events declared wider than kMaxArgs, so the
+  // arity check also rejects an over-arity injection, never truncating it
+  // into the fixed args[] slabs (RPacket, PacketIn).
+  const EventSpec* ev = resolve(name);
+  if (ev == nullptr || args.size() != static_cast<std::size_t>(ev->arity)) {
+    return nullptr;
+  }
+  mask_args(*ev, args, args.data());
   return ev;
 }
 
@@ -132,40 +166,55 @@ void Replica::push(sim::Time t, Kind kind, const RPacket& pkt) {
   push_idx(t, kind, idx);
 }
 
-bool Replica::make_packet(const std::string& event,
-                          std::vector<std::int64_t>& args,
-                          RPacket* out) const {
-  const ir::EventInfo* ev = prog_->validate_event(event, args);
-  if (ev == nullptr) return false;
-  out->event_id = ev->event_id;
-  out->nargs = static_cast<std::int32_t>(args.size());
-  for (std::int32_t i = 0; i < out->nargs; ++i) out->args[i] = args[i];
-  out->size_bytes =
-      std::max<int>(64, 34 + 4 * static_cast<int>(args.size()));
+bool Replica::schedule_inject(sim::Time t, const EventSpec& ev,
+                              std::span<const std::int64_t> args,
+                              sim::Time delay_ns, std::int64_t location) {
+  if (args.size() != static_cast<std::size_t>(ev.arity)) return false;
+  const sim::Time at = std::max(t, now_);
+  // Created at t: to_packet stamps creation when the closure fires.
+  if (!pending_meta_.empty() && at < pending_meta_.back().t) {
+    // Out-of-order registration: keep the sorted fast path intact and let
+    // the heap order this one (seq still allocated here, at registration).
+    RPacket p;
+    p.event_id = ev.id;
+    p.nargs = ev.arity;
+    mask_args(ev, args, p.args);
+    p.location = location;
+    p.created = t;
+    p.due = t + delay_ns;
+    p.size_bytes = packet_bytes(ev.arity);
+    push(at, Kind::Inject, p);
+    return true;
+  }
+  PacketIn& in = pending_in_.emplace_back();
+  in.event_id = ev.id;
+  in.nargs = ev.arity;
+  in.self_id = cfg_.switch_cfg.id;
+  mask_args(ev, args, in.args);
+  pending_meta_.push_back(
+      PendingMeta{at, next_seq_++, location, t, t + delay_ns});
   return true;
 }
 
 bool Replica::schedule_inject(sim::Time t, const std::string& event,
                               std::vector<std::int64_t> args,
                               sim::Time delay_ns, std::int64_t location) {
+  const EventSpec* ev = prog_->resolve(event);
+  return ev != nullptr && schedule_inject(t, *ev, args, delay_ns, location);
+}
+
+Replica::RPacket Replica::pending_packet(std::size_t i) const {
+  const PacketIn& in = pending_in_[i];
+  const PendingMeta& m = pending_meta_[i];
   RPacket p;
-  if (!make_packet(event, args, &p)) return false;
-  p.location = location;
-  p.created = t;  // to_packet stamps creation when the closure fires, == t
-  p.due = t + delay_ns;
-  const sim::Time at = std::max(t, now_);
-  if (!pending_.empty() && at < pending_.back().t) {
-    // Out-of-order registration: keep the sorted fast path intact and let
-    // the heap order this one (seq still allocated here, at registration).
-    push(at, Kind::Inject, p);
-    return true;
-  }
-  PendingInject pi;
-  pi.t = at;
-  pi.seq = next_seq_++;
-  pi.pkt = p;
-  pending_.push_back(pi);
-  return true;
+  p.event_id = in.event_id;
+  p.nargs = in.nargs;
+  std::copy_n(in.args, in.nargs, p.args);
+  p.location = m.location;
+  p.created = m.created;
+  p.due = m.due;
+  p.size_bytes = packet_bytes(in.nargs);
+  return p;
 }
 
 void Replica::pfc_tick() {
@@ -200,7 +249,7 @@ void Replica::dispatch_gen(const GenOut& g) {
   p.event_id = g.event_id;
   p.nargs = g.nargs;
   for (std::int32_t i = 0; i < g.nargs; ++i) p.args[i] = g.args[i];
-  p.size_bytes = std::max<int>(64, 34 + 4 * g.nargs);
+  p.size_bytes = packet_bytes(g.nargs);
   p.created = now_;
   p.due = now_ + g.delay_ns;
 
@@ -233,21 +282,20 @@ void Replica::dispatch_gen(const GenOut& g) {
 }
 
 void Replica::run_until(sim::Time t) {
-  // Merge by (t, seq): the sorted pending-injection vector, the sorted
+  // Merge by (t, seq): the sorted pending injections, the sorted
   // pipeline-pass FIFO, and the in-flight heap. Seq numbers were allocated
   // in registration/fire order on all three sides, so the merged order is
   // exactly the order one big heap would produce — but the heap stays a
   // handful of entries deep and the two hot sources pop in O(1).
-  const sim::Time pipe_ns = cfg_.switch_cfg.pipeline_latency_ns;
   for (;;) {
     enum class Src : std::uint8_t { kNone, kPending, kPass, kHeap };
     Src src = Src::kNone;
     sim::Time bt = 0;
     std::uint64_t bs = 0;
-    if (pending_head_ < pending_.size()) {
+    if (pending_head_ < pending_meta_.size()) {
       src = Src::kPending;
-      bt = pending_[pending_head_].t;
-      bs = pending_[pending_head_].seq;
+      bt = pending_meta_[pending_head_].t;
+      bs = pending_meta_[pending_head_].seq;
     }
     if (pass_head_ < pass_q_.size()) {
       const PassEntry& fe = pass_q_[pass_head_];
@@ -268,28 +316,7 @@ void Replica::run_until(sim::Time t) {
     if (src == Src::kNone || bt > t) break;
     now_ = bt;
     if (src == Src::kPending) {
-      // deliver_to_ingress: one pipeline pass of latency, then dispatch.
-      // Bulk transfer: every pending injection due at now_ whose seq
-      // precedes the other same-t sources moves to the pass FIFO in one
-      // tight loop instead of re-running the three-way merge per packet.
-      // The stop key computed once holds for the whole run: the heap is
-      // untouched here, and pass_push only appends strictly larger (t, seq)
-      // keys behind the FIFO front.
-      std::uint64_t stop_seq = std::numeric_limits<std::uint64_t>::max();
-      if (!heap_.empty() && heap_.top().t == now_) {
-        stop_seq = heap_.top().seq;
-      }
-      if (pass_head_ < pass_q_.size()) {
-        const PassEntry& fe = pass_q_[pass_head_];
-        if (fe.t == now_ && fe.seq < stop_seq) stop_seq = fe.seq;
-      }
-      while (pending_head_ < pending_.size()) {
-        const PendingInject& p = pending_[pending_head_];
-        if (p.t != now_ || p.seq >= stop_seq) break;
-        pass_push(now_ + pipe_ns, static_cast<std::int32_t>(pending_head_),
-                  /*from_pool=*/false);
-        ++pending_head_;
-      }
+      move_pending_run();
       continue;
     }
     if (src == Src::kPass) {
@@ -303,7 +330,7 @@ void Replica::run_until(sim::Time t) {
       case Kind::RecircDeliver:
         // deliver_to_ingress: one pipeline pass of latency, then dispatch.
         // The slot stays allocated until the drain consumes the pass.
-        pass_push(now_ + pipe_ns, e.pkt, /*from_pool=*/true);
+        pass_push(now_ + cfg_.switch_cfg.pipeline_latency_ns, e.pkt);
         break;
       case Kind::PfcOpen:
         delay_open_ = true;
@@ -340,38 +367,74 @@ void Replica::run_until(sim::Time t) {
   if (shard_packets_ != nullptr) {
     shard_packets_->add(stats_.executed - published_shard_executed_);
     published_shard_executed_ = stats_.executed;
+    // In-flight passes, not FIFO entries: a run entry holds n of them.
+    std::size_t passes = 0;
+    for (std::size_t i = pass_head_; i < pass_q_.size(); ++i) {
+      passes += static_cast<std::size_t>(pass_q_[i].n);
+    }
     shard_queue_depth_->set(static_cast<std::int64_t>(
-        heap_.size() + (pending_.size() - pending_head_) +
-        (pass_q_.size() - pass_head_)));
+        heap_.size() + (pending_meta_.size() - pending_head_) + passes));
   }
 }
 
-void Replica::pass_push(sim::Time t, std::int32_t idx, bool from_pool) {
+void Replica::pass_push(sim::Time t, std::int32_t slot) {
   PassEntry e;
   e.t = std::max(t, now_);  // Simulator::at clamps to now
   e.seq = next_seq_++;
-  e.idx = idx;
-  e.from_pool = from_pool;
+  e.idx = slot;
+  e.from_pool = true;
+  pass_q_.push_back(e);
+}
+
+void Replica::move_pending_run() {
+  // deliver_to_ingress: one pipeline pass of latency, then dispatch. Every
+  // pending injection due at now_ whose seq precedes the other same-t
+  // sources becomes one run entry instead of re-running the three-way
+  // merge per packet; the run takes the n consecutive seqs n single pushes
+  // would have. The stop key computed once holds for the whole run: the
+  // heap is untouched here, and the FIFO only gains keys behind its front.
+  std::uint64_t stop_seq = std::numeric_limits<std::uint64_t>::max();
+  if (!heap_.empty() && heap_.top().t == now_) stop_seq = heap_.top().seq;
+  if (pass_head_ < pass_q_.size()) {
+    const PassEntry& fe = pass_q_[pass_head_];
+    if (fe.t == now_ && fe.seq < stop_seq) stop_seq = fe.seq;
+  }
+  std::size_t end = pending_head_;
+  while (end < pending_meta_.size() && pending_meta_[end].t == now_ &&
+         pending_meta_[end].seq < stop_seq) {
+    ++end;
+  }
+  PassEntry e;
+  e.t = std::max(now_ + cfg_.switch_cfg.pipeline_latency_ns, now_);
+  e.seq = next_seq_;
+  e.idx = static_cast<std::int32_t>(pending_head_);
+  e.n = static_cast<std::int32_t>(end - pending_head_);
+  e.from_pool = false;
+  next_seq_ += static_cast<std::uint64_t>(e.n);
+  pending_head_ = end;
   pass_q_.push_back(e);
 }
 
 void Replica::drain_passes() {
-  // Multi-packet drain: consume the run of pipeline passes finishing at
-  // exactly now_, classifying each in arrival order and grouping the
-  // consecutive *executing* packets into one run_batch call. Correct
-  // because (a) a heap entry with a seq inside the run (PFC open/close
-  // flips delay_open_, deliveries allocate seqs) would have interleaved in
-  // merged order, so it stops the drain, (b) same for a pending injection,
-  // and (c) everything this drain generates lands strictly after now_
-  // (recirc serialization is >= 1 ns), so the drained set can't be
-  // invalidated by its own side effects. Every other disposition
-  // (route-out, delay, recirculate) has side effects on the ports / the
-  // seq sequence, so the pending execution sub-run is flushed first —
+  // Multi-packet drain: consume the pipeline passes finishing at exactly
+  // now_, classifying each in arrival order. Each maximal span of
+  // consecutive *executing* injections of a pending run goes to run_batch
+  // in place; executing recirculated (pool) passes gather in batch_in_.
+  // Correct because (a) a heap entry with a seq inside the drained keys
+  // (PFC open/close flips delay_open_, deliveries allocate seqs) would
+  // have interleaved in merged order, so it stops the drain, (b) same for
+  // a pending injection, and (c) everything this drain generates lands
+  // strictly after now_ (recirc serialization is >= 1 ns), so the drained
+  // set can't be invalidated by its own side effects. Every other
+  // disposition (route-out, delay, recirculate) has side effects on the
+  // ports / the seq sequence, so the executions before it are run first —
   // which keeps all port sends and seq allocations in exactly the order a
   // one-heap-entry-per-pass loop (the simulator's) produces.
-  const int self = cfg_.switch_cfg.id;
+  const std::int64_t self = cfg_.switch_cfg.id;
+  const auto diverts = [this, self](std::int64_t location, sim::Time due) {
+    return (location >= 0 && location != self) || now_ < due;
+  };
   std::uint64_t drained = 0;
-  batch_in_.clear();
   // The stop key against the other two sources, computed once: pendings
   // don't change mid-drain, and the heap pushes this drain performs
   // (recirculations, generates) always allocate strictly larger (t, seq)
@@ -379,62 +442,82 @@ void Replica::drain_passes() {
   // front of a remaining pass after the drain starts.
   std::uint64_t stop_seq = std::numeric_limits<std::uint64_t>::max();
   if (!heap_.empty() && heap_.top().t == now_) stop_seq = heap_.top().seq;
-  if (pending_head_ < pending_.size()) {
-    const PendingInject& pi = pending_[pending_head_];
-    if (pi.t == now_ && pi.seq < stop_seq) stop_seq = pi.seq;
+  if (pending_head_ < pending_meta_.size()) {
+    const PendingMeta& pm = pending_meta_[pending_head_];
+    if (pm.t == now_ && pm.seq < stop_seq) stop_seq = pm.seq;
   }
   while (pass_head_ < pass_q_.size()) {
     const PassEntry fe = pass_q_[pass_head_];
     if (fe.t != now_ || fe.seq >= stop_seq) break;
-    // Classification reads the packet in its existing storage — the
-    // consumed pending prefix or its pool slot — copy-free on the hot
-    // (execute) path. The rare non-execute paths copy out first: their
-    // flush can grow pool_ under the reference, and recirculate must not
-    // alias a slot anyway.
-    const RPacket& p = fe.from_pool
-                           ? pool_[static_cast<std::size_t>(fe.idx)]
-                           : pending_[static_cast<std::size_t>(fe.idx)].pkt;
     ++pass_head_;
-    ++drained;
-    if (p.location >= 0 && p.location != self) {
-      const RPacket pkt = p;
-      if (fe.from_pool) release_slot(fe.idx);
-      flush_exec_batch();
-      route_out(pkt);
-      continue;
-    }
-    if (now_ < p.due) {
-      const RPacket pkt = p;
-      if (fe.from_pool) release_slot(fe.idx);
-      flush_exec_batch();
-      if (cfg_.sched.mode == sched::DelayMode::BaselineRecirculation ||
-          delay_open_) {
-        recirculate(pkt);
-      } else {
-        ++stats_.delayed_enqueues;
-        delay_queue_.push_back(pkt);
+    if (fe.from_pool) {
+      ++drained;
+      // Classification reads the packet in its pool slot; the rare
+      // non-execute paths copy it out first, because their flush can grow
+      // pool_ under the reference and recirculate must not alias a slot.
+      const RPacket& p = pool_[static_cast<std::size_t>(fe.idx)];
+      if (diverts(p.location, p.due)) {
+        const RPacket pkt = p;
+        release_slot(fe.idx);
+        divert(pkt);
+        continue;
       }
+      ++stats_.executed;
+      if (p.due > p.created) ++stats_.delay_samples;
+      const auto id = static_cast<std::size_t>(p.event_id);
+      if (p.event_id < 0 || id >= has_handler_by_id_.size() ||
+          has_handler_by_id_[id] == 0) {
+        // No handler: counted, no state effects, nothing to flush.
+        release_slot(fe.idx);
+        continue;
+      }
+      ++total_executions_;
+      ++exec_count_by_id_[id];
+      PacketIn& in = batch_in_.emplace_back();
+      in.event_id = p.event_id;
+      in.nargs = p.nargs;
+      in.now_ns = now_;
+      in.self_id = self;
+      std::copy_n(p.args, p.nargs, in.args);
+      release_slot(fe.idx);
       continue;
     }
-    ++stats_.executed;
-    if (p.due > p.created) ++stats_.delay_samples;
-    const auto id = static_cast<std::size_t>(p.event_id);
-    if (p.event_id < 0 || id >= has_handler_by_id_.size() ||
-        has_handler_by_id_[id] == 0) {
-      // No handler: counted, no state effects, nothing to flush.
-      if (fe.from_pool) release_slot(fe.idx);
-      continue;
+    // A pending run, read in place and drained whole: its seqs were
+    // allocated together, so no other source's key falls inside it.
+    assert(stop_seq >= fe.seq + static_cast<std::uint64_t>(fe.n));
+    drained += static_cast<std::uint64_t>(fe.n);
+    std::size_t i = static_cast<std::size_t>(fe.idx);
+    const std::size_t end = i + static_cast<std::size_t>(fe.n);
+    while (i < end) {
+      const std::size_t span = i;
+      for (; i < end; ++i) {
+        const PendingMeta& m = pending_meta_[i];
+        PacketIn& in = pending_in_[i];
+        const auto id = static_cast<std::size_t>(in.event_id);
+        if (diverts(m.location, m.due) || has_handler_by_id_[id] == 0) break;
+        ++exec_count_by_id_[id];
+        if (m.due > m.created) ++stats_.delay_samples;
+        in.now_ns = now_;
+      }
+      if (i > span) {
+        const std::size_t n = i - span;
+        stats_.executed += n;
+        total_executions_ += n;
+        flush_exec_batch();
+        exec(&pending_in_[span], static_cast<std::int32_t>(n));
+      }
+      if (i == end) break;
+      // The injection that ended the span.
+      const PendingMeta& m = pending_meta_[i];
+      if (diverts(m.location, m.due)) {
+        divert(pending_packet(i));
+      } else {
+        // No handler: counted, no state effects, nothing to flush.
+        ++stats_.executed;
+        if (m.due > m.created) ++stats_.delay_samples;
+      }
+      ++i;
     }
-    ++total_executions_;
-    ++exec_count_by_id_[id];
-    PacketIn in;
-    in.event_id = p.event_id;
-    in.nargs = p.nargs;
-    in.now_ns = now_;
-    in.self_id = self;
-    for (std::int32_t i = 0; i < p.nargs; ++i) in.args[i] = p.args[i];
-    batch_in_.push_back(in);
-    if (fe.from_pool) release_slot(fe.idx);
   }
   flush_exec_batch();
   // Fully drained is the common case (bursty traffic with gaps wider than
@@ -449,9 +532,20 @@ void Replica::drain_passes() {
   }
 }
 
-void Replica::flush_exec_batch() {
-  if (batch_in_.empty()) return;
-  const auto n = static_cast<std::int32_t>(batch_in_.size());
+void Replica::divert(const RPacket& p) {
+  flush_exec_batch();
+  if (p.location >= 0 && p.location != cfg_.switch_cfg.id) {
+    route_out(p);
+  } else if (cfg_.sched.mode == sched::DelayMode::BaselineRecirculation ||
+             delay_open_) {
+    recirculate(p);
+  } else {
+    ++stats_.delayed_enqueues;
+    delay_queue_.push_back(p);
+  }
+}
+
+void Replica::exec(const PacketIn* in, std::int32_t n) {
   const std::size_t out_need =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(gen_stride_);
   if (batch_out_.size() < out_need) batch_out_.resize(out_need);
@@ -462,7 +556,7 @@ void Replica::flush_exec_batch() {
   // pipeline on one reused Ctx (emit.cpp), so state is byte-identical to
   // n one-packet calls — the contract
   // tests/test_native.cpp::OneBatchMatchesOnePacketBatches pins.
-  run_batch_fn_(array_ptrs_.data(), batch_in_.data(), n, batch_out_.data(),
+  run_batch_fn_(array_ptrs_.data(), in, n, batch_out_.data(),
                 batch_counts_.data());
   // Generated events dispatch per packet, in packet order — the same
   // interleaving the sequential loop produces (packet i's generates all
@@ -474,20 +568,25 @@ void Replica::flush_exec_batch() {
                                 static_cast<std::size_t>(gen_stride_);
     for (std::int32_t g = 0; g < gens; ++g) dispatch_gen(out[g]);
   }
+}
+
+void Replica::flush_exec_batch() {
+  if (batch_in_.empty()) return;
+  exec(batch_in_.data(), static_cast<std::int32_t>(batch_in_.size()));
   batch_in_.clear();
 }
 
 void Replica::compact_pending() {
-  // Erase the consumed prefix once it dominates the vector; amortized O(1)
+  // Erase the consumed prefix once it dominates the records; amortized O(1)
   // per injection, and the capacity shrinks back once a soak run's transient
   // backlog has drained, so footprint tracks the *live* pending set. Live
-  // pass entries still index into the consumed prefix, so the cut `lo` stops
-  // at the oldest of them and their indices are rebased by it — a streaming
-  // caller's run boundary always has the last burst in flight, so waiting
-  // for an empty FIFO would never compact. Pending-sourced passes are pushed
-  // in pending-index order, so the first one at or after pass_head_ is the
-  // oldest. Cutting only when lo is at least half the vector keeps the
-  // entries moved (and rebased) below the entries erased.
+  // run entries still index into the consumed prefix, so the cut `lo` stops
+  // at the first injection of the oldest of them and their
+  // indices are rebased by it — a streaming caller's run boundary always
+  // has the last burst in flight, so waiting for an empty FIFO would never
+  // compact. Runs are pushed in pending-index order, so the first one at or
+  // after pass_head_ is the oldest. Cutting only when lo is at least half
+  // the records keeps the entries moved (and rebased) below those erased.
   if (pending_head_ >= kPendingCompactThreshold) {
     std::size_t lo = pending_head_;
     for (std::size_t i = pass_head_; i < pass_q_.size(); ++i) {
@@ -496,18 +595,20 @@ void Replica::compact_pending() {
         break;
       }
     }
-    if (lo * 2 >= pending_.size()) {
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<std::ptrdiff_t>(lo));
+    if (lo * 2 >= pending_meta_.size()) {
+      const auto cut = static_cast<std::ptrdiff_t>(lo);
+      pending_in_.erase(pending_in_.begin(), pending_in_.begin() + cut);
+      pending_meta_.erase(pending_meta_.begin(), pending_meta_.begin() + cut);
       pending_head_ -= lo;
       for (std::size_t i = pass_head_; i < pass_q_.size(); ++i) {
         if (!pass_q_[i].from_pool) {
           pass_q_[i].idx -= static_cast<std::int32_t>(lo);
         }
       }
-      if (pending_.capacity() > kPendingCompactThreshold * 4 &&
-          pending_.size() * 4 < pending_.capacity()) {
-        pending_.shrink_to_fit();
+      if (pending_meta_.capacity() > kPendingCompactThreshold * 4 &&
+          pending_meta_.size() * 4 < pending_meta_.capacity()) {
+        pending_in_.shrink_to_fit();
+        pending_meta_.shrink_to_fit();
       }
     }
   }

@@ -3,9 +3,11 @@
 //
 // native::Replica hosts the loaded Program: a single-node mirror of the
 // switch + scheduler + PFC timing model with POD packets and no
-// std::function in the hot loop. Its one event loop merges pending
-// injections, a pipeline-pass FIFO and a small (time, seq) heap, and drains
-// each run of same-timestamp passes through one run_batch call. It
+// std::function in the hot loop. Injections are built once, straight into
+// ABI PacketIn records. Its one event loop merges those pending injections,
+// a pipeline-pass FIFO and a small (time, seq) heap, and drains each run of
+// same-timestamp passes through run_batch calls — executing injections in
+// place, without a copy. It
 // reproduces the simulator's event interleaving exactly (see the seq-order
 // contract at Replica below), so after a run its register state is
 // byte-identical to an interp::Runtime run of the same schedule — the
@@ -18,10 +20,13 @@
 // through the JIT's module cache (jit.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -41,6 +46,15 @@ namespace lucid::native {
 /// The same type as interp::RunStats, so differential tests compare them
 /// directly.
 using RunStats = ir::RunStats;
+
+/// One event as injection sees it, resolved once at Program::build: the
+/// event id, its arity, and one width mask per param (all ones for widths
+/// mask_width passes through), so building a packet is an AND per arg.
+struct EventSpec {
+  std::int32_t id = -1;
+  std::int32_t arity = 0;
+  std::uint64_t masks[kMaxArgs] = {};
+};
 
 /// A program compiled for native execution: the emitted module source plus
 /// the loaded shared object. Immutable after build; share it across every
@@ -63,17 +77,23 @@ class Program {
       const std::string& name) const {
     return ir().find_event(name);
   }
-  /// Validates an injection against the event's declaration and masks
-  /// `args` in place to the declared param widths (EventCtor semantics).
-  /// nullptr on an unknown event, an arity mismatch or more than kMaxArgs
-  /// args; `args` is then left unmasked.
-  [[nodiscard]] const ir::EventInfo* validate_event(
-      const std::string& name, std::vector<std::int64_t>& args) const;
+  /// The event's precomputed spec, or nullptr for an unknown name.
+  [[nodiscard]] const EventSpec* resolve(std::string_view name) const;
+  /// resolve plus the arity check, masking `args` in place to the declared
+  /// param widths (EventCtor semantics). nullptr on an unknown event or an
+  /// arity mismatch (which covers more than kMaxArgs args); `args` is then
+  /// left unmasked.
+  [[nodiscard]] const EventSpec* validate_event(
+      std::string_view name, std::vector<std::int64_t>& args) const;
 
  private:
   ConstCompilationPtr comp_;
   std::shared_ptr<Module> module_;
   EmittedModule emitted_;
+  /// Parallel to ir().events: the names resolve scans (views into the IR,
+  /// which comp_ keeps alive) and the specs it returns.
+  std::vector<std::string_view> event_names_;
+  std::vector<EventSpec> event_specs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -95,11 +115,13 @@ struct ReplicaConfig {
 ///
 /// Seq-order contract (why state matches the real simulator byte-for-byte):
 /// the simulator breaks timestamp ties by insertion order. The replica
-/// allocates one (t, seq) entry — pending, pass-FIFO or heap — per
+/// allocates one (t, seq) key — pending, pass-FIFO or heap — per
 /// sim_.at/after call the real stack would make, in the same order —
 /// including the two-hop recirculation path (port
-/// delivery, then pipeline pass) and the PFC frame closures. The only
-/// entries it skips are front-port deliveries, which in a single-node
+/// delivery, then pipeline pass) and the PFC frame closures. A pass-FIFO
+/// run of n same-timestamp injections is one entry holding n consecutive
+/// seqs, exactly the seqs n single pushes would have allocated. The only
+/// keys it skips are front-port deliveries, which in a single-node
 /// topology are dropped by the network and have no side effects; removing
 /// elements from the allocation sequence preserves the relative order of
 /// the rest.
@@ -116,9 +138,15 @@ class Replica {
   explicit Replica(std::shared_ptr<const Program> prog,
                    ReplicaConfig cfg = {});
 
-  /// Registers an external arrival at absolute time `t`. Validates and
-  /// width-masks through Program::validate_event; false on unknown event /
-  /// bad arity.
+  /// Registers an external arrival at absolute time `t`: the packet is
+  /// built once, straight into its ABI record, with `args` width-masked by
+  /// `ev` (which must come from this replica's Program::resolve). False on
+  /// an arity mismatch.
+  bool schedule_inject(sim::Time t, const EventSpec& ev,
+                       std::span<const std::int64_t> args,
+                       sim::Time delay_ns = 0, std::int64_t location = -1);
+  /// By name: Program::resolve, then the overload above. False on an
+  /// unknown event or bad arity.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1);
@@ -146,22 +174,25 @@ class Replica {
   [[nodiscard]] std::int64_t control_read(std::size_t decl_index,
                                           std::int64_t index) const;
 
-  /// Consumed-prefix compaction threshold for the pending-injection vector.
-  /// Once pending_head_ passes it, run_until erases the prefix below both
-  /// pending_head_ and the oldest in-flight pass that still reads pending_,
-  /// provided that prefix is at least half the vector — passes in flight or
-  /// not, so a caller that streams slices and runs to each slice's last
-  /// arrival doesn't grow memory without bound. Invariant at every run
-  /// boundary: pending_.size() < one threshold + twice the live backlog
-  /// (unconsumed injections plus pending-sourced passes in flight), which
-  /// also keeps PassEntry::idx inside int32 on an endless stream.
+  /// Consumed-prefix compaction threshold for the pending-injection
+  /// records (pending_in_ and its parallel pending_meta_). Once
+  /// pending_head_ passes it, run_until erases the prefix below both
+  /// pending_head_ and the first injection of the oldest in-flight
+  /// pending run, provided that prefix is at least half the
+  /// records — passes in flight or not, so a caller that streams slices and
+  /// runs to each slice's last arrival doesn't grow memory without bound.
+  /// Invariant at every run boundary: the record count stays below one
+  /// threshold + twice the live backlog (unconsumed injections plus
+  /// pending-sourced passes in flight), which also keeps PassEntry::idx
+  /// inside int32 on an endless stream.
   static constexpr std::size_t kPendingCompactThreshold = 4096;
-  /// Capacity of the pending-injection vector plus the pipeline-pass FIFO
+  /// Capacity of the pending-injection records plus the pipeline-pass FIFO
   /// (regression surface for the compaction: bounded across schedule/run
   /// cycles, drained or streaming, tracking the live backlog rather than
   /// total injections).
   [[nodiscard]] std::size_t pending_footprint() const {
-    return pending_.capacity() + pass_q_.capacity();
+    return std::max(pending_in_.capacity(), pending_meta_.capacity()) +
+           pass_q_.capacity();
   }
 
  private:
@@ -195,31 +226,40 @@ class Replica {
     std::int32_t pkt = -1;  // pool_ index; -1 for packet-less entries
   };
 
-  /// A pre-registered injection: (t, seq) assigned at schedule_inject time —
-  /// exactly when the reference run registers its closure — but held in a
-  /// sorted vector and merged into the event flow lazily, so the heap only
-  /// ever holds the handful of in-flight entries.
-  struct PendingInject {
+  /// What a pre-registered injection carries besides its ABI record
+  /// (pending_in_[i] pairs with pending_meta_[i]): (t, seq) assigned at
+  /// schedule_inject time — exactly when the reference run registers its
+  /// closure — and the scheduling fields the drain classifies on. The
+  /// records sit in sorted vectors and merge into the event flow lazily,
+  /// so the heap only ever holds the handful of in-flight entries.
+  struct PendingMeta {
     sim::Time t = 0;
     std::uint64_t seq = 0;
-    RPacket pkt;
+    std::int64_t location = -1;
+    sim::Time created = 0;
+    sim::Time due = 0;
   };
-  /// A completed-pipeline-pass record. Every one is created at now_ +
-  /// pipeline_latency with now_ nondecreasing and seq allocated in creation
-  /// order, so the records are (t, seq)-sorted by construction — a FIFO
-  /// with O(1) pops instead of two heap sifts per packet, and the run of
-  /// same-timestamp passes is what one run_batch call drains. The record
-  /// holds an *index* into the packet's existing storage (the consumed
-  /// pending_ prefix, or a pool_ slot kept allocated until the drain)
-  /// rather than a copy. Both outlive the entry: compact_pending erases
-  /// only the pending_ prefix below the oldest live pending-sourced pass
-  /// and rebases the live indices by the erased count, and pool_ slots are
-  /// addressed by index so slab growth can't dangle them.
+  /// A completed-pipeline-pass record: one recirculated packet, or a run
+  /// of n injections that arrived at the same timestamp. Every one is
+  /// created at now_ + pipeline_latency with now_ nondecreasing and seqs
+  /// allocated in creation order — a run takes n consecutive seqs starting
+  /// at `seq` — so the records are (t, seq)-sorted by construction: a FIFO
+  /// with O(1) pops instead of two heap sifts per packet, and the
+  /// same-timestamp passes are what one drain feeds to run_batch. Nothing
+  /// else allocates a seq between a run's first and last, so no other
+  /// source's key falls inside a run and a drain takes runs whole. The
+  /// record holds an *index* into the packets' existing storage (the
+  /// consumed pending prefix, or a pool_ slot kept allocated until the
+  /// drain) rather than a copy. Both outlive the entry: compact_pending
+  /// erases only the pending prefix below the oldest live run and rebases
+  /// the live indices by the erased count, and pool_ slots are addressed
+  /// by index so slab growth can't dangle them.
   struct PassEntry {
     sim::Time t = 0;
-    std::uint64_t seq = 0;
-    std::int32_t idx = -1;   // pool_ slot or pending_ index
-    bool from_pool = false;  // false: pending_[idx].pkt
+    std::uint64_t seq = 0;   // seq of the first pass
+    std::int32_t idx = -1;   // pool_ slot, or pending index of the run start
+    std::int32_t n = 1;      // passes in the entry (1 for a pool slot)
+    bool from_pool = false;  // false: pending_in_[idx, idx + n)
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -252,18 +292,27 @@ class Replica {
   void push(sim::Time t, Kind kind);  // packet-less entry
   void push(sim::Time t, Kind kind, const RPacket& pkt);
   void pfc_tick();
-  /// Records a completed pipeline pass (FIFO, not heap) by reference to
-  /// its storage — a pending_ index or a pool_ slot.
-  void pass_push(sim::Time t, std::int32_t idx, bool from_pool);
+  /// Records a completed pipeline pass of a pool_ slot (FIFO, not heap).
+  void pass_push(sim::Time t, std::int32_t slot);
+  /// Moves the pending injections due at now_ that precede every other
+  /// same-timestamp source to the pass FIFO as one run entry.
+  void move_pending_run();
   void drain_passes();       // fused drain + classify; see run_until
-  void flush_exec_batch();   // run batch_in_ through run_batch + dispatch
+  /// Runs `n` packets through run_batch and dispatches their generates.
+  void exec(const PacketIn* in, std::int32_t n);
+  void flush_exec_batch();   // exec batch_in_, then clear it
+  /// Route-out, delay or recirculation of one pass that does not execute
+  /// now: all side effects on ports or the seq sequence, so the gathered
+  /// executions run first.
+  void divert(const RPacket& p);
   void compact_pending();
   // NOTE: `p` must not alias a pool_ slot — alloc_slot may grow the slab.
   void recirculate(const RPacket& p);
   void route_out(const RPacket& p);
   void dispatch_gen(const GenOut& g);
-  bool make_packet(const std::string& event, std::vector<std::int64_t>& args,
-                   RPacket* out) const;
+  /// The pending injection `i` as a free-standing packet, for the paths
+  /// that keep it past the drain.
+  [[nodiscard]] RPacket pending_packet(std::size_t i) const;
 
   std::shared_ptr<const Program> prog_;
   ReplicaConfig cfg_;
@@ -272,7 +321,11 @@ class Replica {
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::vector<RPacket> pool_;         // slab backing Entry::pkt
   std::vector<std::int32_t> free_;    // recycled pool_ slots
-  std::vector<PendingInject> pending_;  // sorted by (t, seq)
+  // Pending injections, sorted by (t, seq): ABI records (args masked,
+  // self_id set; now_ns is stamped at drain) handed to run_batch in place,
+  // and their parallel scheduling fields.
+  std::vector<PacketIn> pending_in_;
+  std::vector<PendingMeta> pending_meta_;
   std::size_t pending_head_ = 0;
   std::vector<PassEntry> pass_q_;  // sorted by construction
   std::size_t pass_head_ = 0;
@@ -281,8 +334,8 @@ class Replica {
   std::vector<std::int64_t*> array_ptrs_;
   std::vector<char> has_handler_by_id_;
 
-  // Drain scratch: the executing subset of a drain as ABI PacketIn
-  // records, and the module's per-packet outputs.
+  // Drain scratch: the executing pool-sourced (recirculated) passes of a
+  // drain as ABI PacketIn records, and the module's per-packet outputs.
   // Reused across drains; no per-drain allocation once warm. run_batch_fn_
   // is the module's raw entry point, resolved once.
   std::vector<PacketIn> batch_in_;

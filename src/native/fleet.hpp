@@ -97,23 +97,22 @@ class ReplicaFleet {
   [[nodiscard]] std::size_t route_of(const std::string& event,
                                      std::vector<std::int64_t> args,
                                      std::int64_t location = -1) const {
-    const ir::EventInfo* ev = prog_->validate_event(event, args);
-    return route(shards(), location, ev != nullptr ? ev->event_id : -1,
-                 args);
+    const EventSpec* ev = prog_->validate_event(event, args);
+    return route(shards(), location, ev != nullptr ? ev->id : -1, args);
   }
 
   /// Routes and registers an external arrival; same validation contract as
-  /// Replica::schedule_inject (false on unknown event / bad arity). Args
-  /// are width-masked before routing, so injections that are the same
-  /// packet land on the same shard.
+  /// Replica::schedule_inject (false on unknown event / bad arity). The
+  /// event is resolved and its args width-masked once, before routing (so
+  /// injections that are the same packet land on the same shard), and the
+  /// shard takes the resolved spec.
   bool schedule_inject(sim::Time t, const std::string& event,
                        std::vector<std::int64_t> args, sim::Time delay_ns = 0,
                        std::int64_t location = -1) {
-    const ir::EventInfo* ev = prog_->validate_event(event, args);
+    const EventSpec* ev = prog_->validate_event(event, args);
     if (ev == nullptr) return false;
-    const std::size_t s = route(shards(), location, ev->event_id, args);
-    return shards_[s]->schedule_inject(t, event, std::move(args), delay_ns,
-                                       location);
+    const std::size_t s = route(shards(), location, ev->id, args);
+    return shards_[s]->schedule_inject(t, *ev, args, delay_ns, location);
   }
 
   /// Runs every shard up to `t`, in parallel on the pool. Returns with all

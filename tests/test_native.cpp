@@ -24,7 +24,9 @@
 #include "apps/apps.hpp"
 #include "core/backends.hpp"
 #include "ctrl/native_bridge.hpp"
+#include "golden_programs.hpp"
 #include "native/differential.hpp"
+#include "obs/metrics.hpp"
 #include "support/bits.hpp"
 
 namespace lucid::native {
@@ -70,6 +72,47 @@ TEST(NativeDifferential, SeedChangesScheduleButNotAgreement) {
   // Different seeds produce genuinely different runs (else the sweep above
   // is ten copies of one data point).
   EXPECT_NE(a.interp.arrays, b.interp.arrays);
+}
+
+// Every arg a full 64-bit word or a width boundary (0, -1, 2^w - 1, 2^w),
+// on every paper app and on the constructs program's 8- and 64-bit params.
+// The injection masks Program::build precomputes per param must cut exactly
+// what support::mask_width cuts (the generated module masks params again on
+// entry, so register state alone can't see a wrong host mask — routing
+// can), and the native run must match the interpreter with every high bit
+// set, including the 64-bit word fed to the module's hash.
+TEST(NativeDifferential, WideArgsMatchOnAppsAndConstructs) {
+  std::uint64_t seed = 0x5EED;
+  for (const apps::AppSpec& app : golden_programs()) {
+    SCOPED_TRACE(app.key);
+    ASSERT_FALSE(app.source.empty());
+    interp::TestbedConfig cfg;
+    cfg.program_name = app.key;
+    interp::Testbed probe(app.source, cfg);
+    ASSERT_TRUE(probe.ok()) << probe.diagnostics();
+    std::string err;
+    const auto prog = Program::build(probe.compilation_ptr(), &err);
+    ASSERT_NE(prog, nullptr) << err;
+    const diff::Schedule plan =
+        diff::make_wide_schedule(prog->ir(), seed++, 300);
+    int wide = 0;  // args with bits above their declared width
+    for (const auto& e : plan.entries) {
+      const ir::EventInfo* ev = prog->find_event(e.event);
+      std::vector<std::int64_t> masked = e.args;
+      ASSERT_NE(prog->validate_event(e.event, masked), nullptr) << e.event;
+      for (std::size_t i = 0; i < e.args.size(); ++i) {
+        const std::int64_t want =
+            support::mask_width(e.args[i], ev->params[i].second);
+        EXPECT_EQ(masked[i], want) << e.event << " arg " << i;
+        if (want != e.args[i]) ++wide;
+      }
+    }
+    EXPECT_GT(wide, 0);
+    const auto iref = diff::run_interp(app.source, app.key, plan);
+    const auto got = diff::run_native(prog, plan);
+    EXPECT_EQ(diff::compare(prog->ir(), iref, got), "");
+    EXPECT_GT(got.executed, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -420,6 +463,158 @@ TEST(NativeBatch, DrainAcrossTimestampTieBreakBoundary) {
     EXPECT_EQ(diff::compare(prog->ir(), iref, nbatch), "") << key;
     EXPECT_GT(nbatch.executed, 0u) << key;
   }
+}
+
+// The drain hands each maximal span of executing injections of a
+// same-timestamp run to run_batch in place. Everything that ends a span —
+// a delayed injection (recirculated or delay-queued), one located at
+// another switch (forwarded), one of a handler-less event (counted only) —
+// rides inside the bursts here, next to self-located ones (which execute).
+// Each shape also runs with the burst gap equal to the pipeline latency, so
+// drains meet same-timestamp pending injections and heap entries; in the
+// last shape a recirculation round trip also equals the pipeline latency,
+// so (on NAT) a recirculated delivery lands at a drain's timestamp with its
+// seq between two same-timestamp pass entries and stops that drain midway.
+TEST(NativeBatch, SpanBreaksInsideBurstsMatchInterp) {
+  const sim::Time pipe = pisa::SwitchConfig{}.pipeline_latency_ns;
+  struct Shape {
+    const char* name;
+    sched::DelayMode mode;
+    sim::Time gap_ns;
+    sim::Time recirc_latency_ns;
+  };
+  const sim::Time ser = 6;  // an 84-byte frame at 100 Gb/s
+  const Shape shapes[] = {
+      {"pausable", sched::DelayMode::PausableQueue, 2000, 200},
+      {"recirc", sched::DelayMode::BaselineRecirculation, 2000, 200},
+      {"pausable/tie", sched::DelayMode::PausableQueue, pipe, 200},
+      {"recirc/tie", sched::DelayMode::BaselineRecirculation, pipe,
+       pipe - ser},
+  };
+  for (const char* key : {"SFW", "NAT"}) {
+    // An event with no handler, declared after the app's own (so their ids
+    // don't move).
+    const std::string source =
+        apps::app(key).source + "\nevent unhandled(int a, int<<8>> b);\n";
+    interp::TestbedConfig probe_cfg;
+    probe_cfg.program_name = key;
+    interp::Testbed probe(source, probe_cfg);
+    ASSERT_TRUE(probe.ok()) << probe.diagnostics();
+    std::string err;
+    const auto prog = Program::build(probe.compilation_ptr(), &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ASSERT_FALSE(prog->find_event("unhandled")->has_handler);
+
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(std::string(key) + " " + shape.name);
+      const diff::Schedule base =
+          diff::make_burst_schedule(prog->ir(), 31, 80, 16, shape.gap_ns);
+      diff::Schedule plan;
+      plan.horizon = base.horizon;
+      std::uint64_t rng = 99;
+      for (const diff::Injection& e : base.entries) {
+        diff::Injection inj = e;
+        const std::uint64_t r = diff::splitmix64(rng);
+        switch (r % 8) {
+          case 0:  // due before or after its pipeline pass ends
+            inj.delay_ns = static_cast<sim::Time>(100 + (r >> 8) % 3000);
+            break;
+          case 1:
+            inj.location = 7;  // another switch
+            break;
+          case 2:
+            inj.location = 1;  // this switch
+            break;
+          default:
+            break;
+        }
+        plan.entries.push_back(inj);
+        if (r % 8 == 3) {
+          plan.entries.push_back(diff::Injection{
+              e.t, "unhandled", {static_cast<std::int64_t>(r), -1}});
+        }
+      }
+      interp::TestbedConfig icfg;
+      icfg.sched.mode = shape.mode;
+      icfg.switch_base.recirc_latency_ns = shape.recirc_latency_ns;
+      ReplicaConfig rcfg;
+      rcfg.sched.mode = shape.mode;
+      rcfg.switch_cfg.recirc_latency_ns = shape.recirc_latency_ns;
+      const auto iref = diff::run_interp(source, key, plan, icfg);
+      const auto got = diff::run_native(prog, plan, rcfg);
+      EXPECT_EQ(diff::compare(prog->ir(), iref, got), "");
+
+      // Streamed: each same-timestamp group is registered only once both
+      // engines have run to the previous group's time, so a heap entry
+      // due at a burst's arrival (allocated earlier) precedes the burst's
+      // run, and a recirculated pass can share a drain with the run that
+      // follows it in the FIFO.
+      icfg.program_name = key;
+      icfg.switch_ids = {1};
+      interp::Testbed tb(source, icfg);
+      ASSERT_TRUE(tb.ok()) << tb.diagnostics();
+      interp::Runtime& rt = tb.node(1);
+      rcfg.switch_cfg.id = 1;
+      Replica rep(prog, rcfg);
+      for (std::size_t i = 0; i < plan.entries.size();) {
+        const sim::Time t = plan.entries[i].t;
+        for (; i < plan.entries.size() && plan.entries[i].t == t; ++i) {
+          const diff::Injection& e = plan.entries[i];
+          ASSERT_TRUE(
+              rep.schedule_inject(e.t, e.event, e.args, e.delay_ns,
+                                  e.location));
+          tb.sim().at(e.t, [&rt, &e] {
+            rt.inject(e.event, e.args, e.delay_ns, e.location);
+          });
+        }
+        rep.run_until(t);
+        tb.sim().run_until(t);
+      }
+      rep.run_until(plan.horizon);
+      tb.sim().run_until(plan.horizon);
+      EXPECT_EQ(diff::compare(prog->ir(), diff::snapshot(tb),
+                              diff::snapshot(rep)),
+                "")
+          << "streamed";
+
+      EXPECT_GT(got.forwarded, 0u);
+      EXPECT_GT(got.recirculations, 0u);
+      if (shape.mode == sched::DelayMode::PausableQueue) {
+        EXPECT_GT(got.delayed_enqueues, 0u);
+      }
+      EXPECT_GT(got.executed, got.stats.total_executions)
+          << "no handler-less injection was counted";
+    }
+  }
+}
+
+TEST(NativeFleet, QueueDepthGaugeCountsPassesNotRuns) {
+  // The 32 injections of one burst travel the pass FIFO as one run entry;
+  // the gauge still reports the 32 passes in flight.
+  const auto prog = build_source(
+      "global hits = new Array<<32>>(64);\n"
+      "memop plus(int cur, int x) { return cur + x; }\n"
+      "event pkt(int x);\n"
+      "handle pkt(int x) { Array.set(hits, x, plus, 1); }\n",
+      "queue_depth");
+  ASSERT_NE(prog, nullptr);
+  FleetConfig fcfg;
+  fcfg.shards = 1;
+  fcfg.label_metrics = true;
+  // No PFC stream, so no heap entries count alongside the passes.
+  fcfg.replica.sched.mode = sched::DelayMode::BaselineRecirculation;
+  ReplicaFleet fleet(prog, fcfg);
+  const sim::Time t = 1000;
+  for (std::int64_t x = 0; x < 32; ++x) {
+    ASSERT_TRUE(fleet.schedule_inject(t, "pkt", {x}));
+  }
+  fleet.run_until(t);
+  const obs::Gauge& depth = obs::Registry::global().gauge(
+      "lucid_native_shard_queue_depth", obs::Labels{{"shard", "0"}});
+  EXPECT_EQ(depth.value(), 32);
+  fleet.run_until(t + sim::kMs);
+  EXPECT_EQ(depth.value(), 0);
+  EXPECT_EQ(fleet.merged_stats().executed, 32u);
 }
 
 // ---------------------------------------------------------------------------
